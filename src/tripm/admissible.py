@@ -36,16 +36,13 @@ from .matching import (
 )
 from .skeleton import (
     SkeletonExtractionError,
-    _skeleton_from_chains,
-    _spanning_degrees,
-    _walk_chains,
+    bicontract,
     color_cubic_3,
     split_spanning_components,
     triple_from_structural,
 )
 from .twofactor import (
     find_even_2factor,
-    hamilton_cycle,
     structural_from_factor,
     triple_from_even_2factor,
 )
@@ -138,14 +135,13 @@ def _structural_candidate(g: Graph, edge_ids, budget,
         if skip_pure_factor:
             return None
         return StructuralCertificate(frozenset(edge_ids), tuple(cycles), None)
-    sdeg = _spanning_degrees(g, edge_ids)
     try:
-        chains, leftover = _walk_chains(g, branch_edges, sdeg)
-    except SkeletonExtractionError:
+        sk = bicontract(g, branch_edges)
+    except SkeletonExtractionError as exc:
+        if exc.reason == "isolated cycle component":
+            raise AssertionError(
+                "internal: cycle edges leaked into the branch part") from exc
         return None
-    if leftover:
-        raise AssertionError("internal: cycle edges leaked into the branch part")
-    sk = _skeleton_from_chains(g, branch_edges, chains)
     coloring = color_cubic_3(sk.skeleton, budget)
     if coloring is None:
         return None
@@ -333,10 +329,12 @@ def four_regular_fastpath(g: Graph, budget=None) -> Verdict:
 def check(g: Graph, budget=None) -> Verdict:
     """Full decision pipeline.
 
-    Matching-covered gate, then the 4-regular fast path when applicable or
-    a Hamilton-cycle probe otherwise, then the structural search, then the
-    direct search.  The first definitive verdict wins; budget splits
-    10% fast / 45% structural / 45% direct.
+    Matching-covered gate, then the 4-regular fast path when applicable,
+    then the structural search (whose first phase finds any even 2-factor,
+    Hamilton cycles included), then the direct search.  The first
+    definitive verdict wins.  The budget splits into fixed shares: 10% fast
+    path, 45% structural, 45% direct; the fast path's share goes unused
+    when the fast path does not apply.
     """
     covered, report = is_matching_covered(g)
     if not covered:
@@ -355,29 +353,14 @@ def check(g: Graph, budget=None) -> Verdict:
     total = 0
     stage_reports: list[dict] = []
 
-    fast_b = Budget(fast_limit)
     if _fastpath_applicable(g):
+        fast_b = Budget(fast_limit)
         m1 = max_matching(g)  # perfect: g is matching covered
         verdict = _fastpath_from_m1(g, m1, fast_b)
         total += fast_b.used
         if verdict.definitive:
             return replace(verdict, nodes=total)
         stage_reports.append(verdict.budget_report)
-    elif g.n >= 2:
-        try:
-            cycle = hamilton_cycle(g, fast_b)
-        except BudgetExhausted:
-            cycle = None
-            stage_reports.append({"stage": "hamilton", "limit": fast_limit,
-                                  "used": fast_b.used})
-        total += fast_b.used
-        if cycle is not None and len(cycle) % 2 == 0:
-            factor = frozenset(cycle)
-            return Verdict(ADMISSIBLE,
-                           triple=triple_from_even_2factor(g, factor),
-                           structural=structural_from_factor(g, factor),
-                           evidence={"stage": "hamilton"},
-                           nodes=total)
 
     struct_b = Budget(struct_limit)
     verdict = structural_check(g, struct_b, _gate=False)

@@ -10,7 +10,7 @@ plus the graph is enough to re-verify from scratch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .graph import Graph
 from .formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
@@ -47,17 +47,17 @@ class SkeletonCertificate:
     """Bisubdivision witness for the subdivided-cubic components.
 
     skeleton vertex i corresponds to branch vertex ``branch_vertices[i]``;
-    skeleton edge i expands to the chain ``chain_map[i]`` (host edge ids in
-    path order) through the host vertices ``chain_vertices[i]``.  The
-    coloring, once present, assigns each skeleton edge one color in 1..3 so
-    that the classes are three perfect matchings of the skeleton.
+    skeleton edge (a, b) with id i expands to the chain ``chain_map[i]``:
+    host edge ids in path order from ``branch_vertices[a]`` to
+    ``branch_vertices[b]``.  The coloring, once present, assigns each
+    skeleton edge one color in 1..3 so that the classes are three perfect
+    matchings of the skeleton.
     """
 
     spanning: frozenset[int]
     branch_vertices: tuple[int, ...]
     skeleton: Graph
     chain_map: tuple[tuple[int, ...], ...]
-    chain_vertices: tuple[tuple[int, ...], ...] = field(repr=False)
     coloring: tuple[int, ...] | None = None
 
     def with_coloring(self, coloring) -> "SkeletonCertificate":
@@ -148,13 +148,41 @@ def _graph_echo(g: Graph) -> dict:
 
 
 def _echo_to_graph(obj) -> Graph:
-    if not isinstance(obj, dict) or "format" not in obj or "data" not in obj:
+    if not (isinstance(obj, dict) and isinstance(obj.get("data"), str)):
         raise CertificateFormatError("graph echo must carry 'format' and 'data'")
-    if obj["format"] == "graph6":
+    if obj.get("format") == "graph6":
         return parse_graph6(obj["data"])
-    if obj["format"] == "edgelist":
+    if obj.get("format") == "edgelist":
         return parse_edge_list(obj["data"])
-    raise CertificateFormatError(f"unknown graph format {obj['format']!r}")
+    raise CertificateFormatError(f"unknown graph format {obj.get('format')!r}")
+
+
+def _list(obj, label: str) -> list:
+    if not isinstance(obj, list):
+        raise CertificateFormatError(f"{label}: expected a list")
+    return obj
+
+
+def _ints(obj, label: str) -> tuple[int, ...]:
+    """A list of integers; strings, floats and booleans are refused."""
+    if not (isinstance(obj, (list, tuple)) and all(type(x) is int for x in obj)):
+        raise CertificateFormatError(f"{label}: expected a list of integers")
+    return tuple(obj)
+
+
+def _pair(obj, label: str) -> tuple[int, int]:
+    pair = _ints(obj, label)
+    if len(pair) != 2:
+        raise CertificateFormatError(f"{label}: edge entries must be [u, v] pairs")
+    return pair
+
+
+def _edge_ids(g: Graph, obj, label: str) -> tuple[int, ...]:
+    ids = _ints(obj, label)
+    for e in ids:
+        if not (0 <= e < g.m):
+            raise CertificateFormatError(f"{label}: edge id {e} out of range")
+    return ids
 
 
 def _matching_to_json(g: Graph, m) -> dict:
@@ -166,16 +194,11 @@ def _matching_from_json(g: Graph, obj, label: str) -> frozenset[int]:
     if not isinstance(obj, dict) or "edges" not in obj:
         raise CertificateFormatError(f"{label}: expected an object with 'edges'")
     pairs = []
-    for p in obj["edges"]:
-        if not (isinstance(p, (list, tuple)) and len(p) == 2):
-            raise CertificateFormatError(f"{label}: edge entries must be [u, v] pairs")
-        u, v = int(p[0]), int(p[1])
+    for p in _list(obj["edges"], label):
+        u, v = _pair(p, label)
         pairs.append((min(u, v), max(u, v)))
     if "edge_ids" in obj:
-        ids = [int(e) for e in obj["edge_ids"]]
-        for e in ids:
-            if not (0 <= e < g.m):
-                raise CertificateFormatError(f"{label}: edge id {e} out of range")
+        ids = _edge_ids(g, obj["edge_ids"], label)
         if sorted(g.edges[e] for e in ids) != sorted(pairs):
             raise CertificateFormatError(f"{label}: edge ids disagree with [u, v] pairs")
         return frozenset(ids)
@@ -192,6 +215,52 @@ def _matching_from_json(g: Graph, obj, label: str) -> frozenset[int]:
     if len(set(ids)) != len(ids):
         raise CertificateFormatError(f"{label}: repeated edges")
     return frozenset(ids)
+
+
+def rebuild_skeleton_certificate(g: Graph, obj) -> StructuralCertificate:
+    """Decode the JSON form of a skeleton-type structural certificate."""
+    spanning = _matching_from_json(g, obj.get("spanning"), "spanning")
+    raw_cycles = _list(obj.get("cycle_components", []), "cycle_components")
+    cycles = tuple(_edge_ids(g, comp, "cycle component") for comp in raw_cycles)
+    branch = _ints(obj.get("branch_vertices", []), "branch_vertices")
+    skdata = obj.get("skeleton")
+    if not (isinstance(skdata, dict) and type(skdata.get("n")) is int):
+        raise CertificateFormatError("skeleton certificate needs a skeleton object")
+    if not 0 <= skdata["n"] <= g.n:  # skeleton vertices are host vertices
+        raise CertificateFormatError("skeleton order out of range")
+    edges = tuple(_pair(p, "skeleton edge")
+                  for p in _list(skdata.get("edges"), "skeleton edges"))
+    try:
+        skel = Graph(skdata["n"], edges)
+    except ValueError as exc:
+        raise CertificateFormatError(f"bad skeleton edge list: {exc}") from None
+    raw_chains = _list(obj.get("chain_map", []), "chain_map")
+    chain_map = tuple(_edge_ids(g, path, f"chain {i}")
+                      for i, path in enumerate(raw_chains))
+    if len(chain_map) != skel.m:
+        raise CertificateFormatError("chain map length differs from skeleton size")
+    coloring_obj = obj.get("coloring")
+    coloring = None
+    if coloring_obj is not None:
+        if not isinstance(coloring_obj, dict):
+            raise CertificateFormatError("coloring must map edge ids to color sets")
+        coloring_list = []
+        for i in range(skel.m):
+            val = coloring_obj.get(str(i))
+            if not (isinstance(val, list) and len(val) == 1 and type(val[0]) is int):
+                raise CertificateFormatError(
+                    f"coloring for skeleton edge {i} must be a single-color set")
+            coloring_list.append(val[0])
+        coloring = tuple(coloring_list)
+    sk = SkeletonCertificate(
+        spanning=frozenset(e for path in chain_map for e in path),
+        branch_vertices=branch,
+        skeleton=skel,
+        chain_map=chain_map,
+        coloring=coloring,
+    )
+    return StructuralCertificate(spanning=spanning, cycle_components=cycles,
+                                 skeleton_part=sk)
 
 
 def certificate_to_json(g: Graph, cert) -> dict:
@@ -253,7 +322,6 @@ def certificate_from_json(g: Graph, obj):
         cycles = factor_cycles(g, factor) or []
         return StructuralCertificate(factor, tuple(tuple(c) for c in cycles), None)
     if kind == "skeleton":
-        from .skeleton import rebuild_skeleton_certificate
         return rebuild_skeleton_certificate(g, obj)
     raise CertificateFormatError(f"unknown certificate type {kind!r}")
 

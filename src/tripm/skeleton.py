@@ -12,11 +12,9 @@ from __future__ import annotations
 
 from .budget import as_budget
 from .certificates import (
-    CertificateFormatError,
     SkeletonCertificate,
     StructuralCertificate,
     TripleCertificate,
-    _matching_from_json,
     verify_triple,
 )
 from .graph import Graph, connected_components
@@ -44,7 +42,7 @@ def _spanning_degrees(g: Graph, edge_set) -> list[int]:
 
 def _walk_chains(g: Graph, edge_set, sdeg):
     """Walk all branch-to-branch chains.  Returns (chains, leftover) where
-    chains are (bu, bv, edge_path, vertex_path) in discovery order and
+    chains are (bu, bv, edge_path) in discovery order and
     leftover is the set of edges on no chain (pure cycle components)."""
     inc: dict[int, list[int]] = {}
     for e in sorted(edge_set):
@@ -59,16 +57,13 @@ def _walk_chains(g: Graph, edge_set, sdeg):
             if e in visited:
                 continue
             path = [e]
-            vpath = [bv]
             prev_e = e
             cur = g.other(e, bv)
             while sdeg[cur] == 2:
-                vpath.append(cur)
                 a, b = inc[cur]
                 prev_e = b if a == prev_e else a
                 path.append(prev_e)
                 cur = g.other(prev_e, cur)
-            vpath.append(cur)
             if cur == bv:
                 raise SkeletonExtractionError(
                     "loop chain", f"chain of length {len(path)} closes on vertex {bv}")
@@ -77,7 +72,7 @@ def _walk_chains(g: Graph, edge_set, sdeg):
                     "even chain",
                     f"chain {bv}..{cur} has even length {len(path)}")
             visited.update(path)
-            chains.append((bv, cur, tuple(path), tuple(vpath)))
+            chains.append((bv, cur, tuple(path)))
     leftover = set(edge_set) - visited
     return chains, leftover
 
@@ -86,48 +81,60 @@ def _skeleton_from_chains(g: Graph, edge_set, chains) -> SkeletonCertificate:
     branch = sorted({c[0] for c in chains} | {c[1] for c in chains})
     idx = {v: i for i, v in enumerate(branch)}
     items = []
-    for bu, bw, path, vpath in chains:
+    for bu, bw, path in chains:
         a, b = idx[bu], idx[bw]
         if a > b:
             a, b = b, a
             path = tuple(reversed(path))
-            vpath = tuple(reversed(vpath))
-        items.append(((a, b), path, vpath))
+        items.append(((a, b), path))
     items.sort(key=lambda it: it[0])  # stable: parallel chains keep discovery order
-    skel = Graph(len(branch), tuple(p for p, _, _ in items))
+    skel = Graph(len(branch), tuple(p for p, _ in items))
     return SkeletonCertificate(
         spanning=frozenset(edge_set),
         branch_vertices=tuple(branch),
         skeleton=skel,
-        chain_map=tuple(p for _, p, _ in items),
-        chain_vertices=tuple(vp for _, _, vp in items),
+        chain_map=tuple(p for _, p in items),
     )
+
+
+def bicontract(g: Graph, edge_set) -> SkeletonCertificate:
+    """Bicontract ``edge_set`` to its cubic skeleton.
+
+    Every vertex the set touches must have degree 2 or 3 in it, and every
+    component must hold a degree-3 vertex.  Raises SkeletonExtractionError
+    otherwise: degree out of range, even chain, loop chain, or a component
+    that is a bare cycle.
+    """
+    edge_set = frozenset(edge_set)
+    sdeg = _spanning_degrees(g, edge_set)
+    for v, d in enumerate(sdeg):
+        if d not in (0, 2, 3):
+            raise SkeletonExtractionError(
+                "degree out of range", f"vertex {v} has degree {d}")
+    chains, leftover = _walk_chains(g, edge_set, sdeg)
+    if leftover:
+        raise SkeletonExtractionError(
+            "isolated cycle component",
+            f"edges {sorted(leftover)} lie on no branch vertex chain")
+    return _skeleton_from_chains(g, edge_set, chains)
 
 
 def extract_skeleton(g: Graph, spanning) -> SkeletonCertificate:
     """Bicontract ``spanning`` (an edge-id set touching every vertex with
     degrees in {2, 3}) to its cubic skeleton.
 
-    Raises SkeletonExtractionError when the set is not such a witness:
-    even chain, loop chain, or a component that is a bare cycle.
+    Raises SkeletonExtractionError when the set is not such a witness: not
+    spanning, or any failure of bicontract().
     """
     spanning = frozenset(spanning)
     for e in spanning:
         if not (0 <= e < g.m):
             raise ValueError(f"edge id {e} out of range")
     sdeg = _spanning_degrees(g, spanning)
-    for v in range(g.n):
-        if sdeg[v] == 0:
-            raise SkeletonExtractionError("not spanning", f"vertex {v} untouched")
-        if sdeg[v] not in (2, 3):
-            raise SkeletonExtractionError(
-                "degree out of range", f"vertex {v} has degree {sdeg[v]}")
-    chains, leftover = _walk_chains(g, spanning, sdeg)
-    if leftover:
+    if 0 in sdeg:
         raise SkeletonExtractionError(
-            "isolated cycle component",
-            f"edges {sorted(leftover)} lie on no branch vertex chain")
-    return _skeleton_from_chains(g, spanning, chains)
+            "not spanning", f"vertex {sdeg.index(0)} untouched")
+    return bicontract(g, spanning)
 
 
 def color_cubic_3(h: Graph, budget=None) -> tuple[int, ...] | None:
@@ -296,7 +303,7 @@ def verify_structural(g: Graph, cert: StructuralCertificate) -> dict:
         cycle_union |= comp_set
     if cycle_union - cert.spanning:
         violations.append("cycle component edges outside the spanning set")
-    if cycle_union:
+    elif cycle_union:
         cycles = factor_cycles(g, cycle_union)
         if cycles is None:
             violations.append("cycle components are not disjoint cycles")
@@ -330,7 +337,11 @@ def verify_structural(g: Graph, cert: StructuralCertificate) -> dict:
         else:
             seen_internal: set[int] = set()
             for i, path in enumerate(sk.chain_map):
-                a, b = sk.skeleton.edges[i]
+                a, b = sk.skeleton.edges[i]  # a < b: Graph orders endpoints
+                if b >= len(sk.branch_vertices):
+                    violations.append(
+                        f"chain {i}: skeleton vertex {b} has no branch vertex")
+                    continue
                 ok_walk, end, internal = _walk_path(
                     g, sk.branch_vertices[a], path)
                 if not ok_walk:
@@ -397,62 +408,3 @@ def _walk_path(g: Graph, start: int, path):
     if internal:
         internal.pop()  # last vertex is the far endpoint, not internal
     return True, cur, internal
-
-
-def rebuild_skeleton_certificate(g: Graph, obj) -> StructuralCertificate:
-    """Decode the JSON form of a skeleton-type structural certificate."""
-    spanning = _matching_from_json(g, obj.get("spanning"), "spanning")
-    raw_cycles = obj.get("cycle_components", [])
-    cycles = []
-    for comp in raw_cycles:
-        ids = tuple(int(e) for e in comp)
-        for e in ids:
-            if not (0 <= e < g.m):
-                raise CertificateFormatError(f"cycle edge id {e} out of range")
-        cycles.append(ids)
-    branch = tuple(int(v) for v in obj.get("branch_vertices", []))
-    skdata = obj.get("skeleton")
-    if not isinstance(skdata, dict) or "n" not in skdata or "edges" not in skdata:
-        raise CertificateFormatError("skeleton certificate needs a skeleton object")
-    try:
-        skel = Graph(int(skdata["n"]),
-                     tuple((int(p[0]), int(p[1])) for p in skdata["edges"]))
-    except ValueError as exc:
-        raise CertificateFormatError(f"bad skeleton edge list: {exc}") from None
-    chain_map = tuple(tuple(int(e) for e in path) for path in obj.get("chain_map", []))
-    if len(chain_map) != skel.m:
-        raise CertificateFormatError("chain map length differs from skeleton size")
-    chain_vertices = []
-    for i, path in enumerate(chain_map):
-        a = skel.edges[i][0] if i < skel.m else 0
-        start = branch[a] if a < len(branch) else 0
-        ok, _, internal = _walk_path(g, start, path)
-        end_vertex = branch[skel.edges[i][1]] if ok and skel.edges[i][1] < len(branch) else start
-        if ok:
-            chain_vertices.append((start, *internal, end_vertex))
-        else:
-            chain_vertices.append((start,))
-    coloring_obj = obj.get("coloring")
-    coloring = None
-    if coloring_obj is not None:
-        if not isinstance(coloring_obj, dict):
-            raise CertificateFormatError("coloring must map edge ids to color sets")
-        coloring_list = []
-        for i in range(skel.m):
-            val = coloring_obj.get(str(i))
-            if not (isinstance(val, list) and len(val) == 1):
-                raise CertificateFormatError(
-                    f"coloring for skeleton edge {i} must be a single-color set")
-            coloring_list.append(int(val[0]))
-        coloring = tuple(coloring_list)
-    sk = SkeletonCertificate(
-        spanning=frozenset(e for path in chain_map for e in path),
-        branch_vertices=branch,
-        skeleton=skel,
-        chain_map=chain_map,
-        chain_vertices=tuple(chain_vertices),
-        coloring=coloring,
-    )
-    return StructuralCertificate(spanning=spanning,
-                                 cycle_components=tuple(cycles),
-                                 skeleton_part=sk)

@@ -1,4 +1,4 @@
-"""Even 2-factors and Hamilton cycles.
+"""Even 2-factors.
 
 The 2-factor search backtracks over edge inclusion in edge-id order.  A
 union-find structure with parity bits tracks 2-colorability of the picked
@@ -161,81 +161,3 @@ def structural_from_factor(g: Graph, factor) -> StructuralCertificate:
         raise ValueError("edge set is not 2-regular")
     return StructuralCertificate(frozenset(factor),
                                  tuple(tuple(c) for c in cycles), None)
-
-
-def hamilton_cycle(g: Graph, budget=None) -> tuple[int, ...] | None:
-    """Hamilton cycle as edge ids in traversal order from vertex 0, or None
-    when the search space is exhausted.  Prunes on connectivity of the
-    unvisited region and on unvisited vertices with too few live neighbors.
-    """
-    n = g.n
-    if n < 2:
-        return None
-    b = as_budget(budget)
-    nbr_mask = [0] * n
-    for v in range(n):
-        for w in g.neighbor_sets[v]:
-            nbr_mask[v] |= 1 << w
-    full = (1 << n) - 1
-
-    def closing_edge(v: int, used: list[int]) -> int | None:
-        for e in g.edge_ids_between(v, 0):
-            if e not in used:
-                return e
-        return None
-
-    def feasible(visited: int, tail: int) -> bool:
-        open_set = (~visited & full) | (1 << tail) | 1
-        # every unvisited vertex still needs two live incident edges,
-        # counting parallel edges with multiplicity
-        rest = ~visited & full
-        w = rest
-        while w:
-            x = (w & -w).bit_length() - 1
-            w &= w - 1
-            live = 0
-            for y, _ in g.adjacency[x]:
-                if open_set >> y & 1:
-                    live += 1
-                    if live == 2:
-                        break
-            if live < 2:
-                return False
-        # unvisited region plus tail and root must be one piece
-        seen = 1 << tail
-        stack = [tail]
-        while stack:
-            y = stack.pop()
-            fresh = nbr_mask[y] & open_set & ~seen
-            while fresh:
-                x = (fresh & -fresh).bit_length() - 1
-                fresh &= fresh - 1
-                seen |= 1 << x
-                stack.append(x)
-        return seen & open_set == open_set
-
-    path: list[int] = []
-
-    def extend(v: int, visited: int) -> bool:
-        b.charge()
-        if visited == full:
-            e = closing_edge(v, path)
-            if e is not None:
-                path.append(e)
-                return True
-            return False
-        if not feasible(visited, v):
-            return False
-        for e in g.incident[v]:
-            u = g.other(e, v)
-            if visited >> u & 1:
-                continue
-            path.append(e)
-            if extend(u, visited | 1 << u):
-                return True
-            path.pop()
-        return False
-
-    if extend(0, 1):
-        return tuple(path)
-    return None

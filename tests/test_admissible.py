@@ -29,6 +29,7 @@ from tripm.generators import (
 )
 
 from conftest import sampled_matching_covered, three_connected_four_regular
+from oracles import brute_is_hamiltonian
 
 
 def c4():
@@ -271,12 +272,30 @@ def test_check_uses_fastpath_on_octahedron():
 
 
 def test_check_hamilton_probe_on_wheel():
+    # a Hamilton cycle on an even order is an even 2-factor, so the
+    # structural search's first phase decides the Hamiltonian wheel
     g = wheel(5)
     v = check(g)
     assert v.status == ADMISSIBLE
-    assert v.evidence == {"stage": "hamilton"}
+    assert v.evidence is None
     assert v.structural.clause == "even-2-factor"
+    assert v.structural.cycle_components == ((0, 3, 5, 8, 9, 1),)
     assert verify_structural(g, v.structural)["ok"]
+
+
+def test_check_decides_hamiltonian_graphs_by_even_2factor(matching_covered_small):
+    decided = 0
+    for n in (2, 4, 6):
+        for g in matching_covered_small[n]:
+            if _fastpath_applicable(g) or not brute_is_hamiltonian(g):
+                continue
+            v = check(g)
+            assert v.status == ADMISSIBLE, g
+            assert v.evidence is None, g
+            assert v.structural.clause == "even-2-factor", g
+            assert verify_structural(g, v.structural)["ok"], g
+            decided += 1
+    assert decided > 0
 
 
 def test_check_falls_through_to_structural_on_petersen():
@@ -287,9 +306,13 @@ def test_check_falls_through_to_structural_on_petersen():
 
 
 def test_check_digon_end_to_end():
-    v = check(digon())
+    g = digon()
+    v = check(g)
     assert v.status == ADMISSIBLE
-    assert v.evidence == {"stage": "hamilton"}
+    assert v.evidence is None
+    assert v.structural.clause == "even-2-factor"
+    assert v.structural.cycle_components == ((0, 1),)
+    assert verify_structural(g, v.structural)["ok"]
 
 
 def test_check_k2_negative():

@@ -10,6 +10,7 @@ from tripm import (
     NOT_ADMISSIBLE,
     UNKNOWN,
     CertificateFormatError,
+    GraphFormatError,
     StructuralCertificate,
     TripleCertificate,
     Verdict,
@@ -105,7 +106,7 @@ def test_skeleton_json_round_trip_pure():
     back = certificate_from_json(g, blob)
     assert verify_certificate(g, back)["ok"]
     assert back.skeleton_part.chain_map == sk.chain_map
-    assert back.skeleton_part.chain_vertices == sk.chain_vertices
+    assert back.skeleton_part == sk
     assert json.dumps(certificate_to_json(g, back)) == json.dumps(blob)
 
 
@@ -183,6 +184,48 @@ def test_decoding_nonedge_and_repeats():
         {"edges": [[0, 1], [2, 3]]}] * 3}) is not None
     with pytest.raises(CertificateFormatError, match="not an edge"):
         certificate_from_json(g2, obj)
+
+
+DELETE = object()
+JUNK = (DELETE, "x", None, True, 1.5, -1, 10**6, [], [0], [["x"]], {})
+
+
+def _node_paths(obj, path=()):
+    yield path
+    children = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ())
+    for key, child in children:
+        yield from _node_paths(child, path + (key,))
+
+
+def test_decoding_corrupted_nodes_raises_only_format_errors():
+    """Every node of a valid certificate, replaced by junk or deleted,
+    either decodes to something the verifier judges or raises a
+    documented format error."""
+    c4 = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    cases = [(k4(), k4_triple()),
+             (c4, StructuralCertificate(frozenset(range(4)), ((0, 2, 3, 1),), None)),
+             (mixed_host(), mixed_certificate())]
+    for g, cert in cases:
+        text = json.dumps(certificate_to_json(g, cert))
+        for path in list(_node_paths(json.loads(text)))[1:]:
+            for junk in JUNK:
+                blob = json.loads(text)
+                parent = blob
+                for key in path[:-1]:
+                    parent = parent[key]
+                if junk is not DELETE:
+                    parent[path[-1]] = junk
+                elif isinstance(parent, dict):
+                    del parent[path[-1]]
+                else:
+                    continue
+                try:
+                    decoded = certificate_from_json(g, blob)
+                except (CertificateFormatError, GraphFormatError):
+                    continue
+                report = verify_certificate(g, decoded)
+                assert isinstance(report["ok"], bool), (path, junk)
 
 
 def test_tampered_even2factor_decodes_then_fails_verification():

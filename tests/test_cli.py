@@ -140,6 +140,43 @@ def test_verify_schema_break_is_an_error(tmp_path, capsys):
     assert run(capsys, ["verify", other, cpath])[0] == 4
 
 
+@pytest.mark.parametrize("path, value", [
+    (("chain_map", 0, 0), "x"),
+    (("cycle_components",), [["x"]]),
+    (("coloring", "0"), ["x"]),
+    (("chain_map",), 5),
+    (("skeleton", "edges", 0), [0]),
+    (("spanning", "edges", 0), [0, "x"]),
+], ids=["chain-id", "cycle-id", "color", "chain-map", "skeleton-edge",
+        "matching-entry"])
+def test_verify_malformed_certificate_is_an_error(tmp_path, capsys, path, value):
+    gpath = write(tmp_path, "p.g6", PETERSEN_G6)
+    cpath = str(tmp_path / "cert.json")
+    run(capsys, ["check", gpath, "--cert-out", cpath])
+    blob = json.loads(open(cpath).read())
+    parent = blob
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    broken = write(tmp_path, "broken.json", json.dumps(blob))
+    code, out, err = run(capsys, ["verify", gpath, broken])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("tripm: ")
+
+
+def test_verify_truncated_branch_vertices_reports_violations(tmp_path, capsys):
+    gpath = write(tmp_path, "p.g6", PETERSEN_G6)
+    cpath = str(tmp_path / "cert.json")
+    run(capsys, ["check", gpath, "--cert-out", cpath])
+    blob = json.loads(open(cpath).read())
+    blob["branch_vertices"] = blob["branch_vertices"][:-2]
+    truncated = write(tmp_path, "truncated.json", json.dumps(blob))
+    code, out, _ = run(capsys, ["verify", gpath, truncated])
+    assert code == 1
+    assert not json.loads(out)["ok"]
+
+
 def survey_input(tmp_path):
     lines = [PETERSEN_G6, "", "C~", "!!!", K2_G6,
              write_graph6(no_pm_cubic16())]

@@ -1,5 +1,7 @@
 """Bicontraction to cubic skeletons, 3-edge-coloring, and lifting."""
 
+from dataclasses import replace
+
 import pytest
 
 from tripm import (
@@ -9,6 +11,7 @@ from tripm import (
     SkeletonCertificate,
     SkeletonExtractionError,
     StructuralCertificate,
+    check,
     color_cubic_3,
     extract_skeleton,
     is_perfect_matching,
@@ -160,7 +163,6 @@ def theta_skeleton_part() -> SkeletonCertificate:
         branch_vertices=(4, 5),
         skeleton=Graph(2, ((0, 1), (0, 1), (0, 1))),
         chain_map=((4,), (5, 9, 7), (6, 10, 8)),
-        chain_vertices=((4, 5), (4, 6, 7, 5), (4, 8, 9, 5)),
         coloring=(1, 2, 3),
     )
 
@@ -208,7 +210,6 @@ def test_verify_structural_flags_odd_cycle():
         branch_vertices=(3, 4),
         skeleton=Graph(2, ((0, 1), (0, 1), (0, 1))),
         chain_map=((3,), (4, 8, 6), (5, 9, 7)),
-        chain_vertices=((3, 4), (3, 5, 6, 4), (3, 7, 8, 4)),
         coloring=(1, 2, 3),
     )
     cert = StructuralCertificate(frozenset(range(10)), ((0, 2, 1),), sk)
@@ -233,6 +234,29 @@ def test_verify_structural_flags_non_spanning_degrees():
         cert.spanning - {0}, cert.cycle_components, cert.skeleton_part)
     report = verify_structural(g, shrunk)
     assert not report["ok"]
+
+
+def test_verify_structural_flags_short_branch_vertex_list():
+    g = petersen()
+    cert = check(g).structural
+    sk = cert.skeleton_part
+    short = StructuralCertificate(
+        cert.spanning, cert.cycle_components,
+        replace(sk, branch_vertices=sk.branch_vertices[:-2]))
+    report = verify_structural(g, short)
+    assert not report["ok"]
+    assert "skeleton order differs from branch vertex count" in report["violations"]
+    assert any("has no branch vertex" in v for v in report["violations"])
+
+
+def test_verify_structural_flags_cycle_ids_outside_the_graph():
+    g = mixed_host()
+    cert = mixed_certificate()
+    stray = StructuralCertificate(
+        cert.spanning, cert.cycle_components + ((99,),), cert.skeleton_part)
+    report = verify_structural(g, stray)
+    assert not report["ok"]
+    assert "cycle component edges outside the spanning set" in report["violations"]
 
 
 def test_verify_structural_accepts_pure_even_2factor():

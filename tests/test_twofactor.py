@@ -1,4 +1,4 @@
-"""Even 2-factor search, cycle decomposition, alternation, Hamilton probe."""
+"""Even 2-factor search, cycle decomposition, alternation."""
 
 import pytest
 
@@ -7,7 +7,6 @@ from tripm import (
     BudgetExhausted,
     factor_cycles,
     find_even_2factor,
-    hamilton_cycle,
     is_perfect_matching,
     make_graph,
     structural_from_factor,
@@ -17,7 +16,7 @@ from tripm import (
 from tripm.generators import k4, petersen
 
 from conftest import sampled_matching_covered
-from oracles import brute_has_even_2factor, brute_is_hamiltonian, cycle_lengths
+from oracles import brute_has_even_2factor, cycle_lengths
 
 
 def c6():
@@ -116,39 +115,6 @@ def test_structural_from_factor_shape():
     assert cert.cycle_components == ((0, 2, 3, 4, 5, 1),)
     assert cert.skeleton_part is None
     assert cert.clause == "even-2-factor"
-
-
-def test_hamilton_cycle_on_cycle_is_the_cycle():
-    assert hamilton_cycle(c6()) == (0, 2, 3, 4, 5, 1)
-
-
-def test_hamilton_cycle_on_k4():
-    cyc = hamilton_cycle(k4())
-    assert cyc is not None and len(cyc) == 4
-    cycles = factor_cycles(k4(), cyc)
-    assert cycles is not None and len(cycles) == 1
-
-
-def test_hamilton_cycle_negatives():
-    assert hamilton_cycle(petersen()) is None
-    assert hamilton_cycle(two_triangles()) is None
-    assert hamilton_cycle(make_graph(1, [])) is None
-    assert hamilton_cycle(make_graph(2, [(0, 1)])) is None
-
-
-def test_hamilton_cycle_uses_parallel_edges():
-    g = make_graph(2, [(0, 1), (0, 1)])
-    assert hamilton_cycle(g) == (0, 1)
-
-
-def test_hamilton_cycle_agrees_with_bruteforce():
-    for g in sampled_matching_covered(8, count=60, seed=808, max_edges=14):
-        assert (hamilton_cycle(g) is not None) == brute_is_hamiltonian(g)
-
-
-def test_hamilton_cycle_budget():
-    with pytest.raises(BudgetExhausted):
-        hamilton_cycle(petersen(), budget=Budget(limit=5))
 
 
 def test_cycle_lengths_oracle_helper():
