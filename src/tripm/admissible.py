@@ -43,6 +43,7 @@ from .skeleton import (
 )
 from .twofactor import (
     find_even_2factor,
+    search_spanning,
     structural_from_factor,
     triple_from_even_2factor,
 )
@@ -125,16 +126,13 @@ def find_triple_direct(g: Graph, budget=None, *, _gate: bool = True) -> Verdict:
 # structural search
 
 
-def _structural_candidate(g: Graph, edge_ids, budget,
-                          skip_pure_factor: bool) -> StructuralCertificate | None:
-    """Validate one spanning degree-{2,3} edge set as a witness."""
+def _structural_candidate(g: Graph, edge_ids,
+                          budget) -> StructuralCertificate | None:
+    """Validate one spanning degree-{2,3} edge set with a branch part as a
+    witness; phase 1 already ruled out pure even 2-factors."""
     cycles, branch_edges = split_spanning_components(g, edge_ids)
-    if any(len(c) % 2 for c in cycles):
+    if not branch_edges or any(len(c) % 2 for c in cycles):
         return None
-    if not branch_edges:
-        if skip_pure_factor:
-            return None
-        return StructuralCertificate(frozenset(edge_ids), tuple(cycles), None)
     try:
         sk = bicontract(g, branch_edges)
     except SkeletonExtractionError as exc:
@@ -147,45 +145,6 @@ def _structural_candidate(g: Graph, edge_ids, budget,
         return None
     return StructuralCertificate(frozenset(edge_ids), tuple(cycles),
                                  sk.with_coloring(coloring))
-
-
-def _search_structural(g: Graph, budget,
-                       skip_pure_factor: bool) -> StructuralCertificate | None:
-    """Backtrack over edge inclusion; every leaf is spanning with degrees
-    in {2, 3} thanks to the running bounds, then validated as a witness."""
-    n, m = g.n, g.m
-    deg = [0] * n
-    rem = list(g.degrees())
-    chosen: list[int] = []
-
-    def walk(i: int) -> StructuralCertificate | None:
-        budget.charge()
-        if i == m:
-            return _structural_candidate(g, tuple(chosen), budget,
-                                         skip_pure_factor)
-        u, v = g.edges[i]
-        rem[u] -= 1
-        rem[v] -= 1
-        result = None
-        # include only if both endpoints stay under 3 and can still reach 2
-        if (deg[u] < 3 and deg[v] < 3
-                and deg[u] + rem[u] >= 1 and deg[v] + rem[v] >= 1):
-            deg[u] += 1
-            deg[v] += 1
-            chosen.append(i)
-            result = walk(i + 1)
-            chosen.pop()
-            deg[u] -= 1
-            deg[v] -= 1
-        if result is None and deg[u] + rem[u] >= 2 and deg[v] + rem[v] >= 2:
-            result = walk(i + 1)
-        rem[u] += 1
-        rem[v] += 1
-        return result
-
-    if n == 0:
-        return StructuralCertificate(frozenset(), (), None)
-    return walk(0)
 
 
 def structural_check(g: Graph, budget=None, *, _gate: bool = True) -> Verdict:
@@ -211,9 +170,8 @@ def structural_check(g: Graph, budget=None, *, _gate: bool = True) -> Verdict:
                        structural=structural_from_factor(g, factor),
                        nodes=b.used)
     try:
-        # phase 1 proved there is no even 2-factor, so pure-cycle leaves
-        # cannot succeed and are skipped
-        structural = _search_structural(g, b, skip_pure_factor=True)
+        structural = search_spanning(
+            g, b, 3, False, lambda chosen: _structural_candidate(g, chosen, b))
     except BudgetExhausted:
         return Verdict(UNKNOWN, budget_report={
             "stage": "structural", "phase": "skeleton-search",

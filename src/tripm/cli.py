@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 from .admissible import check, find_triple_direct, structural_check
 from .budget import DEFAULT_BUDGET
@@ -157,6 +156,8 @@ def cmd_survey(args) -> int:
                                cross=args.cross_validate)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs > 1 and len(items) > 1:
+        # imported here: the pool machinery costs every other command memory
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(worker, items, chunksize=8))
     else:

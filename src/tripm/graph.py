@@ -9,7 +9,7 @@ positions ``0 .. m-1`` in that list.  Loops are rejected.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterator
 
-from .budget import BudgetExhausted, as_budget
+from .budget import as_budget
 from .graph import Graph, is_connected
 
 
@@ -183,9 +183,11 @@ def enumerate_perfect_matchings(g: Graph, budget=None) -> Iterator[frozenset[int
     """Yield every perfect matching, each exactly once, in a fixed order.
 
     Branches on the lowest-indexed uncovered vertex and tries its incident
-    edges in edge-id order, so the output order is reproducible.  Each
-    search-tree node charges the budget; exhaustion raises BudgetExhausted
-    mid-stream, which is distinguishable from normal completion.
+    edges in edge-id order, so the output order is reproducible.  The
+    search keeps its own stack, so its depth is not bounded by recursion.
+    Each search-tree node charges the budget; exhaustion raises
+    BudgetExhausted mid-stream, which is distinguishable from normal
+    completion.
     """
     if g.n % 2:
         raise ValueError("perfect matchings need an even vertex count")
@@ -193,25 +195,36 @@ def enumerate_perfect_matchings(g: Graph, budget=None) -> Iterator[frozenset[int
     full = (1 << g.n) - 1
     incident = g.incident
     edges = g.edges
-
-    def walk(covered: int, chosen: tuple[int, ...]) -> Iterator[frozenset[int]]:
+    # one frame per inner node: (covered with v, v, v's untried edges); the
+    # frame's entry in chosen is the edge it is exploring
+    stack: list[tuple[int, int, Iterator[int]]] = []
+    chosen: list[int] = []
+    covered = 0
+    while True:
         b.charge()
         if covered == full:
             yield frozenset(chosen)
-            return
-        v = (~covered & (covered + 1)).bit_length() - 1  # lowest uncovered vertex
-        for e in incident[v]:
-            x, y = edges[e]
-            u = x if y == v else y
-            if covered >> u & 1:
+        else:
+            v = (~covered & (covered + 1)).bit_length() - 1  # lowest uncovered vertex
+            stack.append((covered | 1 << v, v, iter(incident[v])))
+            chosen.append(-1)
+        # move the deepest frame on to its next child; pop exhausted frames
+        while stack:
+            base, v, untried = stack[-1]
+            for e in untried:
+                x, y = edges[e]
+                u = x if y == v else y
+                if not base >> u & 1:
+                    chosen[-1] = e
+                    covered = base | 1 << u
+                    break
+            else:
+                stack.pop()
+                chosen.pop()
                 continue
-            yield from walk(covered | 1 << v | 1 << u, chosen + (e,))
-
-    if g.n == 0:
-        b.charge()
-        yield frozenset()
-        return
-    yield from walk(0, ())
+            break
+        else:
+            return
 
 
 def count_perfect_matchings(g: Graph, budget=None) -> int:

@@ -18,7 +18,7 @@ from .certificates import (
     verify_triple,
 )
 from .graph import Graph, connected_components
-from .twofactor import factor_cycles
+from .twofactor import factor_cycles, find_even_2factor
 
 
 class SkeletonExtractionError(ValueError):
@@ -141,40 +141,23 @@ def color_cubic_3(h: Graph, budget=None) -> tuple[int, ...] | None:
     """Proper 3-edge-coloring of a cubic multigraph, as a color tuple
     indexed by edge id, or None once the search space is exhausted.
 
-    Components are colored independently; within one, edges are tried in
-    id order with colors 1, 2, 3 ascending.
+    A cubic multigraph is 3-edge-colorable exactly when it has an even
+    2-factor.  Each component takes its first even 2-factor: every cycle
+    alternates colors 1 and 2 from its first edge, and the complementary
+    perfect matching gets color 3.
     """
     if not h.is_regular(3):
         raise ValueError("graph is not cubic")
     b = as_budget(budget)
-    colors = [0] * h.m
-    used = [0] * h.n  # bitmask of colors present at each vertex
-
-    def solve(edge_list: list[int], k: int) -> bool:
-        b.charge()
-        if k == len(edge_list):
-            return True
-        e = edge_list[k]
-        u, v = h.edges[e]
-        for c in (1, 2, 3):
-            bit = 1 << c
-            if used[u] & bit or used[v] & bit:
-                continue
-            used[u] |= bit
-            used[v] |= bit
-            colors[e] = c
-            if solve(edge_list, k + 1):
-                return True
-            used[u] &= ~bit
-            used[v] &= ~bit
-            colors[e] = 0
-        return False
-
+    colors = [3] * h.m
     for comp in connected_components(h):
-        comp_set = set(comp)
-        comp_edges = [e for e, (u, _) in enumerate(h.edges) if u in comp_set]
-        if not solve(comp_edges, 0):
+        sub, _, emap = h.induced_subgraph(comp)
+        factor = find_even_2factor(sub, b)
+        if factor is None:
             return None
+        for cycle in factor_cycles(sub, factor):
+            for k, e in enumerate(cycle):
+                colors[emap[e]] = 1 + k % 2
     return tuple(colors)
 
 

@@ -1,14 +1,15 @@
-"""Even 2-factors.
+"""Even 2-factors, and the edge-inclusion search behind them.
 
-The 2-factor search backtracks over edge inclusion in edge-id order.  A
-union-find structure with parity bits tracks 2-colorability of the picked
-subgraph, so any branch that would close an odd cycle is cut immediately;
-a completed factor therefore has even components by construction.
+``search_spanning`` backtracks over edge inclusion in edge-id order.  With
+degree cap 2 and its parity union-find it finds even 2-factors: any branch
+that would close an odd cycle is cut immediately, so a completed factor
+has even components by construction.  Structural phase 2 runs it with
+degree cap 3, and skeleton coloring goes through ``find_even_2factor``.
 """
 
 from __future__ import annotations
 
-from .budget import as_budget
+from .budget import Budget, as_budget
 from .certificates import StructuralCertificate, TripleCertificate, verify_triple
 from .graph import Graph
 
@@ -47,22 +48,27 @@ def factor_cycles(g: Graph, edge_ids) -> list[list[int]] | None:
     return cycles
 
 
-def find_even_2factor(g: Graph, budget=None) -> frozenset[int] | None:
-    """First spanning 2-regular subgraph with all components even, in
-    include-first edge-id order; None after exhausting the search space."""
-    if g.n % 2:
-        raise ValueError("even 2-factor needs an even vertex count")
-    b = as_budget(budget)
-    n, m = g.n, g.m
-    if n == 0:
-        b.charge()
-        return frozenset()
+def search_spanning(g: Graph, budget: Budget, cap: int, parity: bool, leaf):
+    """First non-None ``leaf(chosen)`` over spanning subgraphs whose
+    degrees all lie in [2, cap]; None after exhausting the search space.
+
+    Backtracks over edge inclusion in edge-id order, trying inclusion
+    first, on an explicit stack, so the depth is not bounded by recursion.
+    Each search-tree node charges ``budget``.  A vertex's degree ``deg``
+    never exceeds ``cap``, and an edge is left out only while both ends can
+    still reach degree 2 with the edges not yet decided (``rem``).  With
+    ``parity`` a union-find with parity bits keeps the chosen edges
+    bipartite, so a branch that would close an odd cycle is cut at once;
+    its links are undone through a trail.  ``leaf`` receives the chosen
+    edge ids as an ascending tuple.
+    """
+    n, m, edges = g.n, g.m, g.edges
     deg = [0] * n
     rem = list(g.degrees())
     parent = list(range(n))
     rank = [0] * n
     par = [0] * n  # parity relative to parent
-    trail: list[tuple[int, bool, int]] = []
+    trail: list[tuple[int, bool, int] | None] = []  # one entry per inclusion
 
     def find(v: int) -> tuple[int, int]:
         p = 0
@@ -76,7 +82,10 @@ def find_even_2factor(g: Graph, budget=None) -> frozenset[int] | None:
         ru, pu = find(u)
         rv, pv = find(v)
         if ru == rv:
-            return pu != pv
+            if pu == pv:
+                return False
+            trail.append(None)
+            return True
         if rank[ru] < rank[rv]:
             ru, rv, pu, pv = rv, ru, pv, pu
         parent[rv] = ru
@@ -87,44 +96,61 @@ def find_even_2factor(g: Graph, budget=None) -> frozenset[int] | None:
         trail.append((rv, grew, ru))
         return True
 
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            rv, grew, ru = trail.pop()
-            parent[rv] = rv
-            par[rv] = 0
-            if grew:
-                rank[ru] -= 1
-
-    chosen: list[int] = []
-
-    def walk(i: int) -> frozenset[int] | None:
-        b.charge()
+    chosen: list[int] = []  # the included edges among 0 .. i-1, ascending
+    i = 0
+    while True:
+        budget.charge()
         if i == m:
-            if all(d == 2 for d in deg):
-                return frozenset(chosen)
-            return None
-        u, v = g.edges[i]
-        rem[u] -= 1
-        rem[v] -= 1
-        result = None
-        if deg[u] < 2 and deg[v] < 2:
-            mark = len(trail)
-            if union_unequal(u, v):
+            if all(d >= 2 for d in deg):
+                result = leaf(tuple(chosen))
+                if result is not None:
+                    return result
+        else:
+            u, v = edges[i]
+            rem[u] -= 1
+            rem[v] -= 1
+            if (deg[u] < cap and deg[v] < cap
+                    and (not parity or union_unequal(u, v))):
                 deg[u] += 1
                 deg[v] += 1
                 chosen.append(i)
-                result = walk(i + 1)
+                i += 1
+                continue
+            if deg[u] + rem[u] >= 2 and deg[v] + rem[v] >= 2:
+                i += 1
+                continue
+            rem[u] += 1
+            rem[v] += 1
+        # backtrack to the deepest included edge that may still be left out
+        while i:
+            i -= 1
+            u, v = edges[i]
+            if chosen and chosen[-1] == i:
                 chosen.pop()
                 deg[u] -= 1
                 deg[v] -= 1
-            undo(mark)
-        if result is None and deg[u] + rem[u] >= 2 and deg[v] + rem[v] >= 2:
-            result = walk(i + 1)
-        rem[u] += 1
-        rem[v] += 1
-        return result
+                link = trail.pop() if parity else None
+                if link is not None:
+                    rv, grew, ru = link
+                    parent[rv] = rv
+                    par[rv] = 0
+                    if grew:
+                        rank[ru] -= 1
+                if deg[u] + rem[u] >= 2 and deg[v] + rem[v] >= 2:
+                    i += 1
+                    break
+            rem[u] += 1
+            rem[v] += 1
+        else:
+            return None
 
-    return walk(0)
+
+def find_even_2factor(g: Graph, budget=None) -> frozenset[int] | None:
+    """First spanning 2-regular subgraph with all components even, in
+    include-first edge-id order; None after exhausting the search space."""
+    if g.n % 2:
+        raise ValueError("even 2-factor needs an even vertex count")
+    return search_spanning(g, as_budget(budget), 2, True, frozenset)
 
 
 def triple_from_even_2factor(g: Graph, factor) -> TripleCertificate:

@@ -298,6 +298,17 @@ def test_check_decides_hamiltonian_graphs_by_even_2factor(matching_covered_small
     assert decided > 0
 
 
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_check_long_cycle_is_not_limited_by_recursion_depth(n):
+    g = make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    v = check(g)
+    assert v.status == ADMISSIBLE
+    assert v.structural.clause == "even-2-factor"
+    assert v.structural.spanning == frozenset(range(n))
+    assert verify_structural(g, v.structural)["ok"]
+    assert verify_triple(g, v.triple)["ok"]
+
+
 def test_check_falls_through_to_structural_on_petersen():
     v = check(petersen())
     assert v.status == ADMISSIBLE

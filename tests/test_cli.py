@@ -2,10 +2,14 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from itertools import combinations
 
 import pytest
 
-from tripm import DEFAULT_BUDGET, write_edge_list, write_graph6
+from tripm import DEFAULT_BUDGET, make_graph, write_edge_list, write_graph6
 from tripm.cli import main
 from tripm.generators import k4, no_pm_cubic16, petersen, wheel
 
@@ -198,6 +202,19 @@ def test_survey_records_in_input_order_with_summary(tmp_path, capsys):
         "ineligible": 1, "error": 1, "total": 5}}
 
 
+def test_survey_decides_a_graph_deeper_than_the_recursion_limit(tmp_path, capsys):
+    k48 = make_graph(48, combinations(range(48), 2))  # m = 1128
+    path = write(tmp_path, "deep.g6",
+                 PETERSEN_G6 + "\n" + write_graph6(k48) + "\n")
+    code, out, _ = run(capsys, ["survey", path, "--jobs", "1"])
+    assert code == 0
+    *records, summary = [json.loads(ln) for ln in out.splitlines()]
+    assert [(r["line"], r["verdict"]) for r in records] == [
+        (1, "admissible"), (2, "admissible")]
+    assert summary["summary"]["admissible"] == 2
+    assert summary["summary"]["total"] == 2
+
+
 def test_survey_parallel_output_matches_serial(tmp_path, capsys):
     path = survey_input(tmp_path)
     _, serial, _ = run(capsys, ["survey", path, "--jobs", "1"])
@@ -221,6 +238,16 @@ def test_survey_cross_validate(tmp_path, capsys):
     assert checked and all(r["agree"] for r in checked)
     assert all(r["direct"] == r["structural"] == r["verdict"] for r in checked)
     assert summary["summary"]["disagreements"] == 0
+
+
+def test_importing_the_cli_leaves_the_process_pool_unloaded():
+    # only survey --jobs N > 1 needs the pool; importing it costs every
+    # other command memory
+    code = ("import sys, tripm.cli; "
+            "sys.exit('concurrent.futures' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    assert subprocess.run([sys.executable, "-c", code], env=env,
+                          timeout=60).returncode == 0
 
 
 def test_generate_named_and_parametric(capsys):

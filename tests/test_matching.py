@@ -70,6 +70,26 @@ def test_enumeration_is_deterministic_exact_and_duplicate_free():
             assert is_perfect_matching(g, pm)
 
 
+def test_enumeration_order_and_nodes_are_pinned():
+    b = Budget(None)
+    pms = [sorted(pm) for pm in enumerate_perfect_matchings(k33(), b)]
+    assert pms == [[0, 4, 8], [0, 5, 7], [1, 3, 8], [1, 5, 6], [2, 3, 7],
+                   [2, 4, 6]]
+    assert b.used == 16
+
+
+def test_enumeration_is_not_limited_by_recursion_depth():
+    n = 2000
+    g = make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    b = Budget(None)
+    pms = list(enumerate_perfect_matchings(g, b))
+    # edge 0 is (0, 1), edge 1 is (0, n-1), edge i + 1 is (i, i + 1)
+    assert pms == [frozenset({0, *range(3, n, 2)}),
+                   frozenset({1, *range(2, n - 1, 2)})]
+    assert all(is_perfect_matching(g, pm) for pm in pms)
+    assert b.used == n + 1
+
+
 def test_enumeration_rejects_odd_n():
     with pytest.raises(ValueError):
         list(enumerate_perfect_matchings(make_graph(3, [(0, 1)])))

@@ -24,6 +24,9 @@ from tripm import (
 )
 from tripm.generators import bisubdivide, k4, k33, octahedron, petersen, wheel
 
+from conftest import random_cubic_corpus
+from oracles import brute_cubic_colorable
+
 
 # wheel on 5 rim vertices: rim + three consecutive spokes is a spanning
 # bisubdivision of K4 (the rim arc 2-3-4-0 is the one length-3 chain)
@@ -123,6 +126,26 @@ def test_color_cubic_3_proper_on_k33():
 
 def test_color_cubic_3_petersen_has_no_coloring():
     assert color_cubic_3(petersen()) is None
+
+
+def test_color_cubic_3_agrees_with_bruteforce(named_suite):
+    cubic = [g for g in named_suite.values() if g.is_regular(3)]
+    graphs = random_cubic_corpus(count=36, seed_base=4200) + cubic
+    colorable = 0
+    for h in graphs:
+        colors = color_cubic_3(h)
+        assert (colors is not None) == brute_cubic_colorable(h), h
+        if colors is not None:
+            colorable += 1
+            for v in range(h.n):
+                assert sorted(colors[e] for e in h.incident[v]) == [1, 2, 3], h
+    assert 0 < colorable < len(graphs)
+
+
+def test_color_cubic_3_colors_components_independently():
+    # K4 beside a second K4: each component takes its own first coloring
+    two = Graph(8, k4().edges + tuple((u + 4, v + 4) for u, v in k4().edges))
+    assert color_cubic_3(two) == color_cubic_3(k4()) * 2
 
 
 def test_color_cubic_3_validation_and_budget():

@@ -13,7 +13,7 @@ from tripm import (
     triple_from_even_2factor,
     verify_triple,
 )
-from tripm.generators import k4, petersen
+from tripm.generators import NAMED, k4, petersen
 
 from conftest import sampled_matching_covered
 from oracles import brute_has_even_2factor, cycle_lengths
@@ -77,6 +77,21 @@ def test_find_even_2factor_agrees_with_bruteforce():
             assert cycles is not None
             assert all(len(c) % 2 == 0 for c in cycles)
             assert sum(len(c) for c in cycles) == g.n
+
+
+@pytest.mark.parametrize("name, factor, nodes", [
+    ("cube", [0, 1, 3, 5, 8, 9, 10, 11], 13),
+    ("icosahedron", [0, 1, 6, 9, 12, 15, 20, 21, 23, 25, 28, 29], 31),
+    ("carvalho10", [0, 1, 3, 5, 6, 8, 10, 13, 15, 16], 19),
+    ("petersen", None, 84),
+])
+def test_find_even_2factor_search_order_is_pinned(name, factor, nodes):
+    # include-first edge-id order: the first factor found and the nodes
+    # charged on the way are part of the search's contract
+    b = Budget(None)
+    found = find_even_2factor(NAMED[name](), b)
+    assert (sorted(found) if found is not None else None) == factor
+    assert b.used == nodes
 
 
 def test_find_even_2factor_budget():
