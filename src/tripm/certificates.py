@@ -196,6 +196,8 @@ def _matching_from_json(g: Graph, obj, label: str) -> frozenset[int]:
     pairs = []
     for p in _list(obj["edges"], label):
         u, v = _pair(p, label)
+        if not (0 <= u < g.n and 0 <= v < g.n):
+            raise CertificateFormatError(f"{label}: vertex pair {[u, v]} out of range")
         pairs.append((min(u, v), max(u, v)))
     if "edge_ids" in obj:
         ids = _edge_ids(g, obj["edge_ids"], label)

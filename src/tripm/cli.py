@@ -119,12 +119,26 @@ def cmd_check(args) -> int:
 
 
 def _survey_one(item: tuple[int, str], budget: int, cross: bool) -> dict:
+    """One survey record; a graph that fails to parse, or whose check
+    raises, becomes an ``error`` record so the rest of the survey goes on."""
     lineno, line = item
     try:
         g = parse_graph6(line)
     except GraphFormatError as exc:
         return {"line": lineno, "graph6": line, "verdict": "error",
                 "error": str(exc)}
+    try:
+        return _survey_record(lineno, line, g, budget, cross)
+    except Exception as exc:
+        import traceback  # imported here: only a failing graph needs it
+        print(f"tripm: survey line {lineno}:\n{traceback.format_exc()}",
+              file=sys.stderr, end="")
+        return {"line": lineno, "graph6": line, "verdict": "error",
+                "error": str(exc), "error_type": type(exc).__name__}
+
+
+def _survey_record(lineno: int, line: str, g: Graph, budget: int,
+                   cross: bool) -> dict:
     start = time.perf_counter()
     verdict = check(g, budget)
     record = {
@@ -159,9 +173,15 @@ def cmd_survey(args) -> int:
         # imported here: the pool machinery costs every other command memory
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(worker, items, chunksize=8))
+            _print_survey(pool.map(worker, items, chunksize=8),
+                          args.cross_validate)
     else:
-        records = [worker(item) for item in items]
+        _print_survey(map(worker, items), args.cross_validate)
+    return 0
+
+
+def _print_survey(records, cross: bool) -> None:
+    """Print each record as it arrives, in input order, then the summary."""
     counts = {ADMISSIBLE: 0, NOT_ADMISSIBLE: 0, UNKNOWN: 0, INELIGIBLE: 0,
               "error": 0}
     disagreements = 0
@@ -169,12 +189,11 @@ def cmd_survey(args) -> int:
         counts[record["verdict"]] += 1
         if record.get("agree") is False:
             disagreements += 1
-        print(json.dumps(record, separators=(",", ":")))
-    summary = {"summary": dict(counts, total=len(records))}
-    if args.cross_validate:
+        print(json.dumps(record, separators=(",", ":")), flush=True)
+    summary = {"summary": dict(counts, total=sum(counts.values()))}
+    if cross:
         summary["summary"]["disagreements"] = disagreements
     print(json.dumps(summary, separators=(",", ":")))
-    return 0
 
 
 def cmd_generate(args) -> int:

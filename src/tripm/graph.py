@@ -80,10 +80,14 @@ class Graph:
         raise ValueError(f"vertex {v} not an endpoint of edge {e}")
 
     def edge_ids_between(self, u: int, v: int) -> tuple[int, ...]:
-        """All edge ids joining u and v, ascending (parallel edges)."""
-        if u > v:
-            u, v = v, u
-        return tuple(e for e, uv in enumerate(self.edges) if uv == (u, v))
+        """All edge ids joining u and v, ascending (parallel edges).
+
+        Scans u's adjacency, so it costs O(deg u).  Empty when either
+        vertex lies outside ``0 .. n-1``.
+        """
+        if not (0 <= u < self.n and 0 <= v < self.n):
+            return ()
+        return tuple(e for w, e in self.adjacency[u] if w == v)
 
     def is_simple(self) -> bool:
         return len(set(self.edges)) == self.m
@@ -180,29 +184,64 @@ def is_connected(g: Graph, vertices=None, edge_ids=None) -> bool:
     return len(comps) <= 1
 
 
+def _biconnected_without(g: Graph, skip: int) -> bool:
+    """True iff G - skip is connected and has no cut vertex.
+
+    One iterative lowpoint DFS (Hopcroft-Tarjan): a non-root vertex v is a
+    cut vertex iff some DFS child w has low[w] >= disc[v], the root iff it
+    has two or more children.  ``skip`` = -1 deletes nothing.  Edges back
+    to the DFS parent lower no lowpoint below the parent, so they need no
+    special case.
+    """
+    nbrs = g.neighbor_sets
+    n = g.n
+    disc = [0] * n  # discovery times from 1; 0 = not reached
+    low = [0] * n
+    if skip >= 0:
+        disc[skip] = n + 1  # counts as reached, and lowers no lowpoint
+    root = 1 if skip == 0 else 0
+    disc[root] = low[root] = reached = 1
+    root_children = 0
+    stack = [(root, iter(nbrs[root]))]
+    while stack:
+        v, untried = stack[-1]
+        for w in untried:
+            d = disc[w]
+            if d:
+                if d < low[v]:
+                    low[v] = d
+            else:
+                reached += 1
+                disc[w] = low[w] = reached
+                stack.append((w, iter(nbrs[w])))
+                break
+        else:
+            stack.pop()
+            if stack:
+                u = stack[-1][0]
+                if low[v] < low[u]:
+                    low[u] = low[v]
+                if u == root:
+                    root_children += 1
+                elif low[v] >= disc[u]:
+                    return False
+    return reached == n - (skip >= 0) and root_children <= 1
+
+
 def is_k_connected(g: Graph, k: int) -> bool:
-    """Exhaustive small-cut test, k in 1..3.
+    """Vertex k-connectivity for k in 1..3.
 
     True iff n > k and deleting any vertex set of size < k leaves the graph
-    connected.  Parallel edges do not affect vertex connectivity.
+    connected.  Parallel edges do not affect vertex connectivity.  k = 2
+    asks one lowpoint DFS whether G has a cut vertex; k = 3 asks it of
+    G - a for every vertex a, which costs O(n (n + m)).
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
     if g.n <= k:
         return False
-    if not is_connected(g):
-        return False
     if k == 1:
-        return True
-    for a in range(g.n):
-        rest = [v for v in range(g.n) if v != a]
-        if not is_connected(g, vertices=rest):
-            return False
+        return is_connected(g)
     if k == 2:
-        return True
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            rest = [v for v in range(g.n) if v != a and v != b]
-            if not is_connected(g, vertices=rest):
-                return False
-    return True
+        return _biconnected_without(g, -1)
+    return all(_biconnected_without(g, a) for a in range(g.n))

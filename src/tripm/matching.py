@@ -15,23 +15,19 @@ from .budget import as_budget
 from .graph import Graph, is_connected
 
 
-def _maximum_mates(n: int, nbr: list[list[int]]) -> list[int]:
-    """Maximum matching via augmenting paths with blossom shrinking.
+def _augment(nbr: list[list[int]], match: list[int], root: int,
+             blocked=()) -> bool:
+    """One Edmonds search for an augmenting path from the exposed ``root``,
+    with blossom shrinking; on success flips the path in ``match``.
 
-    ``nbr[v]`` lists neighbors in ascending order.  Returns the mate array
-    (-1 for exposed vertices).  Greedy seeding plus one augmenting search
-    per exposed vertex, both in fixed vertex order.
+    ``nbr[v]`` lists neighbors in ascending order.  ``blocked`` vertices
+    must be exposed; they start marked as reached, so the search never
+    enters them and runs on the graph without them.
     """
-    match = [-1] * n
-    for v in range(n):
-        if match[v] == -1:
-            for u in nbr[v]:
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
-
+    n = len(match)
     p = [-1] * n
+    for x in blocked:
+        p[x] = x
 
     def lca(base: list[int], a: int, b: int) -> int:
         used = [False] * n
@@ -55,48 +51,60 @@ def _maximum_mates(n: int, nbr: list[list[int]]) -> list[int]:
             child = match[v]
             v = p[match[v]]
 
-    def find_and_augment(root: int) -> bool:
-        for i in range(n):
-            p[i] = -1
-        base = list(range(n))
-        used = [False] * n
-        used[root] = True
-        q = deque([root])
-        while q:
-            v = q.popleft()
-            for to in nbr[v]:
-                if base[v] == base[to] or match[v] == to:
-                    continue
-                if to == root or (match[to] != -1 and p[match[to]] != -1):
-                    # odd cycle: shrink the blossom to its base
-                    curbase = lca(base, v, to)
-                    in_blossom = [False] * n
-                    mark_path(base, in_blossom, v, curbase, to)
-                    mark_path(base, in_blossom, to, curbase, v)
-                    for i in range(n):
-                        if in_blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
-                elif p[to] == -1:
-                    p[to] = v
-                    if match[to] == -1:
-                        # augment along the alternating path back to root
-                        while to != -1:
-                            prev = p[to]
-                            nxt = match[prev]
-                            match[to] = prev
-                            match[prev] = to
-                            to = nxt
-                        return True
-                    used[match[to]] = True
-                    q.append(match[to])
-        return False
+    base = list(range(n))
+    used = [False] * n
+    used[root] = True
+    q = deque([root])
+    while q:
+        v = q.popleft()
+        for to in nbr[v]:
+            if base[v] == base[to] or match[v] == to:
+                continue
+            if to == root or (match[to] != -1 and p[match[to]] != -1):
+                # odd cycle: shrink the blossom to its base
+                curbase = lca(base, v, to)
+                in_blossom = [False] * n
+                mark_path(base, in_blossom, v, curbase, to)
+                mark_path(base, in_blossom, to, curbase, v)
+                for i in range(n):
+                    if in_blossom[base[i]]:
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = True
+                            q.append(i)
+            elif p[to] == -1:
+                p[to] = v
+                if match[to] == -1:
+                    # augment along the alternating path back to root
+                    while to != -1:
+                        prev = p[to]
+                        nxt = match[prev]
+                        match[to] = prev
+                        match[prev] = to
+                        to = nxt
+                    return True
+                used[match[to]] = True
+                q.append(match[to])
+    return False
 
+
+def _maximum_mates(n: int, nbr: list[list[int]]) -> list[int]:
+    """Maximum matching as a mate array (-1 for exposed vertices).
+
+    Greedy seeding, then one augmenting search per exposed vertex, both in
+    fixed vertex order.
+    """
+    match = [-1] * n
     for v in range(n):
         if match[v] == -1:
-            find_and_augment(v)
+            for u in nbr[v]:
+                if match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    break
+    for v in range(n):
+        if match[v] == -1:
+            _augment(nbr, match, v)
     return match
 
 
@@ -231,13 +239,27 @@ def count_perfect_matchings(g: Graph, budget=None) -> int:
     return sum(1 for _ in enumerate_perfect_matchings(g, budget))
 
 
+def _witness_classes(g: Graph, pm: frozenset[int], edges, witness: dict) -> None:
+    """Witness each edge of ``edges`` (all in the perfect matching ``pm``)
+    by ``pm``, and each edge parallel to one by ``pm`` with it swapped in."""
+    for e in edges:
+        for f in g.edge_ids_between(*g.edges[e]):
+            if f not in witness:
+                witness[f] = pm if f == e else pm - {e} | {f}
+
+
 def is_matching_covered(g: Graph) -> tuple[bool, dict]:
     """Connected and every edge lies in some perfect matching.
 
     Returns (flag, report).  On success the report maps every edge id to a
-    witnessing perfect matching (witnesses are shared between the edges of
-    one matching).  On failure the report names the reason and, when an
-    edge has no perfect matching through it, the offending edge id.
+    witnessing perfect matching that contains it (witnesses are shared
+    between the edges of one matching).  On failure the report names the
+    reason and, when an edge has no perfect matching through it, the
+    lowest such edge id.
+
+    Costs one maximum matching M plus one augmenting search per edge that
+    no earlier witness covers: uv, with M-partners u' and v', lies in a
+    perfect matching iff M - {uu', vv'} + {uv} augments from u' in G - u - v.
     """
     if g.n == 0 or g.n % 2:
         return False, {"reason": "odd or empty vertex set"}
@@ -245,17 +267,28 @@ def is_matching_covered(g: Graph) -> tuple[bool, dict]:
         return False, {"reason": "not connected"}
     if g.m == 0:
         return False, {"reason": "no edges"}
-    if max_matching_size(g) * 2 != g.n:
+    nbr = [sorted(s) for s in g.neighbor_sets]
+    match = _maximum_mates(g.n, nbr)
+    if -1 in match:
         return False, {"reason": "no perfect matching"}
+    # lowest edge id between each vertex and its mate
+    mate_edge = [g.edge_ids_between(v, match[v])[0] for v in range(g.n)]
+    m0 = frozenset(mate_edge)
     witness: dict[int, frozenset[int]] = {}
-    for e in range(g.m):
+    _witness_classes(g, m0, m0, witness)
+    for e, (u, v) in enumerate(g.edges):
         if e in witness:
             continue
-        pm = perfect_matching_with_forced(g, forced=(e,))
-        if pm is None:
+        trial = match.copy()
+        trial[u] = trial[v] = trial[match[u]] = trial[match[v]] = -1
+        if not _augment(nbr, trial, match[u], (u, v)):
             return False, {"reason": "edge in no perfect matching", "edge": e}
-        for f in pm:
-            witness.setdefault(f, pm)
+        trial[u], trial[v] = v, u
+        # only pairs off M can hold edges without a witness
+        moved = [x for x in range(g.n) if trial[x] != match[x]]
+        new = [g.edge_ids_between(x, trial[x])[0] for x in moved if trial[x] > x]
+        pm = m0.difference([mate_edge[x] for x in moved]).union(new)
+        _witness_classes(g, pm, new, witness)
     return True, {"witness": witness}
 
 

@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from tripm.graph import Graph, is_connected
+from tripm.graph import Graph, is_connected, make_graph
 from tripm.matching import is_matching_covered
 from tripm import generators as gen
 
@@ -61,6 +61,29 @@ def random_graph_corpus(count, seed, max_n=10):
         pairs = list(combinations(range(n), 2))
         m = rng.randint(0, len(pairs))
         out.append(Graph(n, tuple(sorted(rng.sample(pairs, m)))))
+    return out
+
+
+def random_multigraph_corpus(count, seed, max_n=10):
+    """Seeded multigraphs with repeated edges on 1..max_n vertices.
+
+    Most even-order ones start from a random perfect matching, so every
+    outcome of the matching covered gate occurs often.
+    """
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, max_n)
+        pairs = []
+        if n % 2 == 0 and rng.random() < 0.8:
+            order = rng.sample(range(n), n)
+            pairs += [(order[i], order[i + 1]) for i in range(0, n, 2)]
+        if n > 1:
+            pairs += [tuple(rng.sample(range(n), 2))
+                      for _ in range(rng.randint(0, 2 * n))]
+        if pairs:
+            pairs += rng.choices(pairs, k=rng.randint(0, 3))
+        out.append(make_graph(n, pairs))
     return out
 
 

@@ -2,8 +2,8 @@
 
 Everything here is deliberately naive and shares no code with the package
 beyond the Graph accessors: bitmask DP for maximum matchings, pair-partition
-recursion for perfect matchings, subset scans for 2-factors.  Keep it slow
-and obviously correct.
+recursion for perfect matchings, subset scans for 2-factors and vertex
+cuts.  Keep it slow and obviously correct.
 """
 
 from __future__ import annotations
@@ -60,6 +60,29 @@ def brute_perfect_matchings(g: Graph) -> list[frozenset[int]]:
 
     rec(frozenset(range(g.n)), ())
     return out
+
+
+def brute_is_k_connected(g: Graph, k: int) -> bool:
+    """n > k and no vertex set of size < k disconnects g: a scan over
+    every such set, each followed by a fresh graph search."""
+    if g.n <= k:
+        return False
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges:
+        adj[u].add(v)
+        adj[v].add(u)
+    for size in range(k):
+        for cut in combinations(range(g.n), size):
+            rest = set(range(g.n)) - set(cut)
+            start = min(rest)
+            seen, todo = {start}, [start]
+            while todo:
+                for w in adj[todo.pop()] & rest - seen:
+                    seen.add(w)
+                    todo.append(w)
+            if seen != rest:
+                return False
+    return True
 
 
 def brute_two_factors(g: Graph) -> list[frozenset[int]]:

@@ -16,6 +16,7 @@ from tripm import (
     Verdict,
     certificate_from_json,
     certificate_to_json,
+    check,
     color_cubic_3,
     extract_skeleton,
     make_graph,
@@ -184,6 +185,20 @@ def test_decoding_nonedge_and_repeats():
         {"edges": [[0, 1], [2, 3]]}] * 3}) is not None
     with pytest.raises(CertificateFormatError, match="not an edge"):
         certificate_from_json(g2, obj)
+
+
+@pytest.mark.parametrize("pair", [[-10, 1], [99, 100]])
+def test_decoding_rejects_vertex_pairs_outside_the_graph(pair):
+    # without edge_ids the decoder looks pairs up in the graph; a negative
+    # vertex must not wrap around to a real one
+    g = petersen()
+    blob = certificate_to_json(g, check(g).triple)
+    for m in blob["matchings"]:
+        del m["edge_ids"]
+    assert verify_certificate(g, certificate_from_json(g, blob))["ok"]
+    blob["matchings"][0]["edges"][0] = pair
+    with pytest.raises(CertificateFormatError, match="out of range"):
+        certificate_from_json(g, blob)
 
 
 DELETE = object()

@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+import tripm.cli
 from tripm import DEFAULT_BUDGET, make_graph, write_edge_list, write_graph6
 from tripm.cli import main
 from tripm.generators import k4, no_pm_cubic16, petersen, wheel
@@ -169,6 +170,20 @@ def test_verify_malformed_certificate_is_an_error(tmp_path, capsys, path, value)
     assert err.startswith("tripm: ")
 
 
+@pytest.mark.parametrize("pair", [[-10, 1], [99, 100]])
+def test_verify_vertex_pair_outside_the_graph_is_an_error(tmp_path, capsys, pair):
+    gpath = write(tmp_path, "p.g6", PETERSEN_G6)
+    blob = json.loads(run(capsys, ["check", gpath])[1])["certificate"]
+    for m in blob["matchings"]:
+        del m["edge_ids"]
+    blob["matchings"][0]["edges"][0] = pair
+    broken = write(tmp_path, "broken.json", json.dumps(blob))
+    code, out, err = run(capsys, ["verify", gpath, broken])
+    assert code == 4
+    assert out == ""
+    assert "out of range" in err
+
+
 def test_verify_truncated_branch_vertices_reports_violations(tmp_path, capsys):
     gpath = write(tmp_path, "p.g6", PETERSEN_G6)
     cpath = str(tmp_path / "cert.json")
@@ -213,6 +228,47 @@ def test_survey_decides_a_graph_deeper_than_the_recursion_limit(tmp_path, capsys
         (1, "admissible"), (2, "admissible")]
     assert summary["summary"]["admissible"] == 2
     assert summary["summary"]["total"] == 2
+
+
+def test_survey_turns_an_exception_into_an_error_record(tmp_path, capsys,
+                                                        monkeypatch):
+    real_check = tripm.cli.check
+
+    def check_failing_on_k4(g, budget):
+        if g == k4():
+            raise RuntimeError("boom")
+        return real_check(g, budget)
+
+    monkeypatch.setattr(tripm.cli, "check", check_failing_on_k4)
+    lines = [PETERSEN_G6, "C~", K2_G6, write_graph6(no_pm_cubic16())]
+    path = write(tmp_path, "s.g6", "\n".join(lines) + "\n")
+    code, out, err = run(capsys, ["survey", path, "--jobs", "1"])
+    assert code == 0
+    *records, summary = [json.loads(ln) for ln in out.splitlines()]
+    assert [r["verdict"] for r in records] == [
+        "admissible", "error", "not-admissible", "ineligible"]
+    assert records[1] == {"line": 2, "graph6": "C~", "verdict": "error",
+                          "error": "boom", "error_type": "RuntimeError"}
+    assert summary["summary"]["error"] == 1
+    assert summary["summary"]["total"] == 4
+    assert "survey line 2" in err and "RuntimeError: boom" in err
+
+
+def test_survey_prints_each_record_before_deciding_the_next(tmp_path, monkeypatch):
+    out = io.StringIO()
+    lines_seen = []
+    real_check = tripm.cli.check
+
+    def counting_check(g, budget):
+        lines_seen.append(len(out.getvalue().splitlines()))
+        return real_check(g, budget)
+
+    monkeypatch.setattr(tripm.cli, "check", counting_check)
+    monkeypatch.setattr(sys, "stdout", out)
+    path = write(tmp_path, "s.g6", "\n".join([PETERSEN_G6, "C~", K2_G6]) + "\n")
+    assert main(["survey", path, "--jobs", "1"]) == 0
+    assert lines_seen == [0, 1, 2]
+    assert len(out.getvalue().splitlines()) == 4
 
 
 def test_survey_parallel_output_matches_serial(tmp_path, capsys):

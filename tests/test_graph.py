@@ -3,7 +3,10 @@
 import pytest
 
 from tripm import Graph, make_graph, connected_components, is_connected, is_k_connected
-from tripm.generators import k4, petersen, prism
+from tripm.generators import double_wheel, k4, petersen, prism, wheel
+
+from conftest import random_multigraph_corpus
+from oracles import brute_is_k_connected
 
 
 def test_make_graph_normalizes_and_sorts():
@@ -18,6 +21,16 @@ def test_parallel_edges_keep_insertion_order():
     assert g.edge_ids_between(0, 1) == (0, 1)
     assert g.edge_ids_between(1, 0) == (0, 1)
     assert not g.is_simple()
+
+
+def test_edge_ids_between_is_empty_outside_the_vertex_range():
+    # a negative index must not wrap around to the last vertices
+    g = make_graph(3, [(0, 1), (0, 2), (1, 2)])
+    assert g.edge_ids_between(-1, 0) == ()
+    assert g.edge_ids_between(-3, 1) == ()
+    assert g.edge_ids_between(1, 3) == ()
+    assert g.edge_ids_between(99, 100) == ()
+    assert g.edge_ids_between(0, 0) == ()
 
 
 def test_loops_rejected():
@@ -128,3 +141,34 @@ def test_k_connected_edge_cases():
     assert is_k_connected(petersen(), 3)
     with pytest.raises(ValueError):
         is_k_connected(k4(), 4)
+
+
+def ladder_prism(n):
+    half = n // 2
+    pairs = [(i, (i + 1) % half) for i in range(half)]
+    pairs += [(half + i, half + (i + 1) % half) for i in range(half)]
+    pairs += [(i, half + i) for i in range(half)]
+    return make_graph(n, pairs)
+
+
+def two_k4_sharing_an_edge():
+    # {2, 3} is a 2-cut: two K4s glued along the edge (2, 3)
+    return make_graph(6, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3),
+                          (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+
+
+NAMED_CONNECTIVITY = [k4(), petersen(), prism(), ladder_prism(8),
+                      ladder_prism(10), wheel(3), wheel(5), wheel(8),
+                      double_wheel(6), two_k4_sharing_an_edge()]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_is_k_connected_agrees_with_the_subset_scan(k):
+    graphs = NAMED_CONNECTIVITY + random_multigraph_corpus(400, seed=k)
+    outcomes = set()
+    for g in graphs:
+        expected = brute_is_k_connected(g, k)
+        assert is_k_connected(g, k) is expected, (k, g)
+        outcomes.add(expected)
+    assert outcomes == {True, False}
+

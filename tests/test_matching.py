@@ -19,8 +19,12 @@ from tripm import (
 )
 from tripm.generators import k4, k33, no_pm_cubic16, petersen, prism
 
-from conftest import random_graph_corpus
-from oracles import brute_max_matching_size, brute_perfect_matchings
+from conftest import random_graph_corpus, random_multigraph_corpus
+from oracles import (
+    brute_is_k_connected,
+    brute_max_matching_size,
+    brute_perfect_matchings,
+)
 
 
 def test_max_matching_on_blossom_heavy_graph():
@@ -177,6 +181,38 @@ def test_edge_in_no_perfect_matching_is_named():
     assert not ok
     assert report["reason"] == "edge in no perfect matching"
     assert g.edges[report["edge"]] == (0, 2)
+
+
+def brute_gate(g):
+    """(flag, reason, failing edge) of the matching covered gate, from the
+    perfect matchings listed by brute force."""
+    if g.n == 0 or g.n % 2:
+        return False, "odd or empty vertex set", None
+    if not brute_is_k_connected(g, 1):
+        return False, "not connected", None
+    pms = brute_perfect_matchings(g)
+    if not pms:
+        return False, "no perfect matching", None
+    missed = sorted(set(range(g.m)) - set().union(*pms))
+    if missed:
+        return False, "edge in no perfect matching", missed[0]
+    return True, None, None
+
+
+def test_matching_covered_gate_agrees_with_bruteforce_on_multigraphs():
+    reasons = set()
+    for g in random_multigraph_corpus(1500, seed=11):
+        ok, report = is_matching_covered(g)
+        expected = brute_gate(g)
+        assert (ok, report.get("reason"), report.get("edge")) == expected, g
+        reasons.add(expected[1])
+        if ok:
+            witness = report["witness"]
+            assert set(witness) == set(range(g.m))
+            for e, pm in witness.items():
+                assert e in pm and is_perfect_matching(g, pm), (g, e)
+    assert reasons == {None, "odd or empty vertex set", "not connected",
+                       "no perfect matching", "edge in no perfect matching"}
 
 
 def test_factor_critical():
