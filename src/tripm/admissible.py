@@ -36,17 +36,11 @@ from .matching import (
 )
 from .skeleton import (
     SkeletonExtractionError,
-    bicontract,
     color_cubic_3,
-    split_spanning_components,
+    structural_witness,
     triple_from_structural,
 )
-from .twofactor import (
-    find_even_2factor,
-    search_spanning,
-    structural_from_factor,
-    triple_from_even_2factor,
-)
+from .twofactor import find_even_2factor, search_spanning
 
 
 def _verified(g: Graph, m1, m2, m3) -> TripleCertificate:
@@ -130,21 +124,17 @@ def _structural_candidate(g: Graph, edge_ids,
                           budget) -> StructuralCertificate | None:
     """Validate one spanning degree-{2,3} edge set with a branch part as a
     witness; phase 1 already ruled out pure even 2-factors."""
-    cycles, branch_edges = split_spanning_components(g, edge_ids)
-    if not branch_edges or any(len(c) % 2 for c in cycles):
-        return None
     try:
-        sk = bicontract(g, branch_edges)
-    except SkeletonExtractionError as exc:
-        if exc.reason == "isolated cycle component":
-            raise AssertionError(
-                "internal: cycle edges leaked into the branch part") from exc
+        cert = structural_witness(g, edge_ids)
+    except SkeletonExtractionError:
+        return None
+    sk = cert.skeleton_part
+    if sk is None or any(len(c) % 2 for c in cert.cycle_components):
         return None
     coloring = color_cubic_3(sk.skeleton, budget)
     if coloring is None:
         return None
-    return StructuralCertificate(frozenset(edge_ids), tuple(cycles),
-                                 sk.with_coloring(coloring))
+    return replace(cert, skeleton_part=sk.with_coloring(coloring))
 
 
 def structural_check(g: Graph, budget=None, *, _gate: bool = True) -> Verdict:
@@ -165,17 +155,15 @@ def structural_check(g: Graph, budget=None, *, _gate: bool = True) -> Verdict:
             "stage": "structural", "phase": "even-2-factor",
             "limit": b.limit, "used": b.used}, nodes=b.used)
     if factor is not None:
-        return Verdict(ADMISSIBLE,
-                       triple=triple_from_even_2factor(g, factor),
-                       structural=structural_from_factor(g, factor),
-                       nodes=b.used)
-    try:
-        structural = search_spanning(
-            g, b, 3, False, lambda chosen: _structural_candidate(g, chosen, b))
-    except BudgetExhausted:
-        return Verdict(UNKNOWN, budget_report={
-            "stage": "structural", "phase": "skeleton-search",
-            "limit": b.limit, "used": b.used}, nodes=b.used)
+        structural = structural_witness(g, factor)
+    else:
+        try:
+            structural = search_spanning(
+                g, b, 3, False, lambda chosen: _structural_candidate(g, chosen, b))
+        except BudgetExhausted:
+            return Verdict(UNKNOWN, budget_report={
+                "stage": "structural", "phase": "skeleton-search",
+                "limit": b.limit, "used": b.used}, nodes=b.used)
     if structural is not None:
         return Verdict(ADMISSIBLE,
                        triple=triple_from_structural(g, structural),

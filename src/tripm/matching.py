@@ -108,6 +108,29 @@ def _maximum_mates(n: int, nbr: list[list[int]]) -> list[int]:
     return match
 
 
+def exposable_vertices(g: Graph) -> frozenset[int]:
+    """Vertices that some maximum matching leaves exposed: the D of the
+    Gallai-Edmonds decomposition.
+
+    Costs one maximum matching M plus one augmenting search per vertex v
+    that M covers: G - v keeps a matching of M's size iff M - {vv'}, with
+    v' the M-partner of v, augments in G - v, and any such path must end
+    at v', since a path between two M-exposed vertices would augment M.
+    """
+    nbr = [sorted(s) for s in g.neighbor_sets]
+    match = _maximum_mates(g.n, nbr)
+    d = set()
+    for v, u in enumerate(match):
+        if u == -1:
+            d.add(v)
+            continue
+        trial = match.copy()
+        trial[v] = trial[u] = -1
+        if _augment(nbr, trial, u, (v,)):
+            d.add(v)
+    return frozenset(d)
+
+
 def _mates_to_edges(g: Graph, match: list[int]) -> frozenset[int]:
     # lowest edge id between each matched pair (parallel edges collapse)
     picked = set()

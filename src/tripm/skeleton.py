@@ -6,6 +6,11 @@ A chain is a maximal path whose internal vertices have degree 2 in the
 spanning subgraph.  Bicontracting every chain to a single edge yields the
 skeleton; the spanning subgraph is a bisubdivision of it exactly when every
 chain has odd length, which is what the lifting rules below rely on.
+
+Every spanning edge set becomes a certificate through one split,
+``structural_witness`` (pure cycles plus the skeleton of the rest), and
+every certificate becomes a triple through one lift,
+``triple_from_structural``.
 """
 
 from __future__ import annotations
@@ -44,6 +49,8 @@ def _walk_chains(g: Graph, edge_set, sdeg):
     """Walk all branch-to-branch chains.  Returns (chains, leftover) where
     chains are (bu, bv, edge_path) in discovery order and
     leftover is the set of edges on no chain (pure cycle components)."""
+    if 3 not in sdeg:
+        return [], set(edge_set)
     inc: dict[int, list[int]] = {}
     for e in sorted(edge_set):
         u, v = g.edges[e]
@@ -97,13 +104,14 @@ def _skeleton_from_chains(g: Graph, edge_set, chains) -> SkeletonCertificate:
     )
 
 
-def bicontract(g: Graph, edge_set) -> SkeletonCertificate:
-    """Bicontract ``edge_set`` to its cubic skeleton.
+def structural_witness(g: Graph, edge_set) -> StructuralCertificate:
+    """Split a degree-{2,3} edge set into its pure cycle components and the
+    bicontracted skeleton of the rest, as an uncolored certificate.
 
-    Every vertex the set touches must have degree 2 or 3 in it, and every
-    component must hold a degree-3 vertex.  Raises SkeletonExtractionError
-    otherwise: degree out of range, even chain, loop chain, or a component
-    that is a bare cycle.
+    Cycles come in ``factor_cycles`` order; ``skeleton_part`` is None when
+    no vertex has degree 3.  Raises SkeletonExtractionError when a touched
+    vertex has degree outside {2, 3} (degree out of range) or a chain is
+    even or closes on its own branch vertex (even chain, loop chain).
     """
     edge_set = frozenset(edge_set)
     sdeg = _spanning_degrees(g, edge_set)
@@ -112,11 +120,9 @@ def bicontract(g: Graph, edge_set) -> SkeletonCertificate:
             raise SkeletonExtractionError(
                 "degree out of range", f"vertex {v} has degree {d}")
     chains, leftover = _walk_chains(g, edge_set, sdeg)
-    if leftover:
-        raise SkeletonExtractionError(
-            "isolated cycle component",
-            f"edges {sorted(leftover)} lie on no branch vertex chain")
-    return _skeleton_from_chains(g, edge_set, chains)
+    return StructuralCertificate(
+        edge_set, tuple(tuple(c) for c in factor_cycles(g, leftover)),
+        _skeleton_from_chains(g, edge_set - leftover, chains) if chains else None)
 
 
 def extract_skeleton(g: Graph, spanning) -> SkeletonCertificate:
@@ -124,7 +130,8 @@ def extract_skeleton(g: Graph, spanning) -> SkeletonCertificate:
     degrees in {2, 3}) to its cubic skeleton.
 
     Raises SkeletonExtractionError when the set is not such a witness: not
-    spanning, or any failure of bicontract().
+    spanning, a component that is a bare cycle (isolated cycle component),
+    or any failure of structural_witness().
     """
     spanning = frozenset(spanning)
     for e in spanning:
@@ -134,7 +141,13 @@ def extract_skeleton(g: Graph, spanning) -> SkeletonCertificate:
     if 0 in sdeg:
         raise SkeletonExtractionError(
             "not spanning", f"vertex {sdeg.index(0)} untouched")
-    return bicontract(g, spanning)
+    cert = structural_witness(g, spanning)
+    if cert.cycle_components:
+        raise SkeletonExtractionError(
+            "isolated cycle component",
+            f"edges {sorted(e for c in cert.cycle_components for e in c)} "
+            "lie on no branch vertex chain")
+    return cert.skeleton_part
 
 
 def color_cubic_3(h: Graph, budget=None) -> tuple[int, ...] | None:
@@ -193,15 +206,7 @@ def lift_triple(g: Graph, sc: SkeletonCertificate) -> TripleCertificate:
     if any(d == 0 for d in sdeg):
         raise ValueError("skeleton part does not span the graph; "
                          "lift through its structural certificate instead")
-    classes = _lift_classes(sc)
-    cert = TripleCertificate(frozenset(classes[1]), frozenset(classes[2]),
-                             frozenset(classes[3]))
-    report = verify_triple(g, cert)
-    if not report["ok"]:
-        raise ValueError(f"lift produced an invalid triple: {report['violations']}")
-    if cert.union() != sc.spanning:
-        raise ValueError("lifted triple does not cover the spanning set exactly")
-    return cert
+    return triple_from_structural(g, StructuralCertificate(sc.spanning, (), sc))
 
 
 def triple_from_structural(g: Graph, cert: StructuralCertificate) -> TripleCertificate:
@@ -233,28 +238,6 @@ def triple_from_structural(g: Graph, cert: StructuralCertificate) -> TripleCerti
     if out.union() != cert.spanning:
         raise ValueError("structural lift does not cover the spanning set exactly")
     return out
-
-
-def split_spanning_components(g: Graph, edge_set):
-    """Partition a degree-{2,3} edge set into pure cycle components and the
-    union of components containing a degree-3 vertex.  Returns
-    (cycle_components, branch_edges) with each cycle component an edge-id
-    tuple in traversal order."""
-    sdeg = _spanning_degrees(g, edge_set)
-    touched = [v for v in range(g.n) if sdeg[v]]
-    comps = connected_components(g, vertices=touched, edge_ids=edge_set)
-    cycles = []
-    branch_edges: set[int] = set()
-    es = set(edge_set)
-    for comp in comps:
-        comp_set = set(comp)
-        comp_edges = [e for e in es if g.edges[e][0] in comp_set]
-        if any(sdeg[v] == 3 for v in comp):
-            branch_edges.update(comp_edges)
-        else:
-            ordered = factor_cycles(g, comp_edges)
-            cycles.append(tuple(ordered[0]))
-    return cycles, branch_edges
 
 
 def verify_structural(g: Graph, cert: StructuralCertificate) -> dict:
@@ -363,13 +346,9 @@ def verify_structural(g: Graph, cert: StructuralCertificate) -> dict:
 
     if not violations:
         try:
-            triple = triple_from_structural(g, cert)
+            triple_from_structural(g, cert)
         except ValueError as exc:
             violations.append(str(exc))
-        else:
-            rep = verify_triple(g, triple)
-            if not rep["ok"]:
-                violations.extend(rep["violations"])
     return {"ok": not violations, "violations": violations}
 
 

@@ -1,16 +1,18 @@
-"""Even 2-factors, and the edge-inclusion search behind them.
+"""Even 2-factors, their cycles, and the edge-inclusion search behind
+them.
 
 ``search_spanning`` backtracks over edge inclusion in edge-id order.  With
 degree cap 2 and its parity union-find it finds even 2-factors: any branch
 that would close an odd cycle is cut immediately, so a completed factor
 has even components by construction.  Structural phase 2 runs it with
 degree cap 3, and skeleton coloring goes through ``find_even_2factor``.
+Turning a found edge set into a certificate is the job of
+``skeleton.structural_witness``.
 """
 
 from __future__ import annotations
 
 from .budget import Budget, as_budget
-from .certificates import StructuralCertificate, TripleCertificate, verify_triple
 from .graph import Graph
 
 
@@ -151,39 +153,3 @@ def find_even_2factor(g: Graph, budget=None) -> frozenset[int] | None:
     if g.n % 2:
         raise ValueError("even 2-factor needs an even vertex count")
     return search_spanning(g, as_budget(budget), 2, True, frozenset)
-
-
-def triple_from_even_2factor(g: Graph, factor) -> TripleCertificate:
-    """Alternate each even cycle into M1/M2 and set M3 = M2.
-
-    Per component the lowest vertex's lowest-id factor edge opens M1.
-    Raises ValueError if the edge set is not a spanning even 2-factor.
-    """
-    cycles = factor_cycles(g, factor)
-    if cycles is None:
-        raise ValueError("edge set is not 2-regular")
-    touched = set()
-    for e in factor:
-        touched.update(g.edges[e])
-    if len(touched) != g.n:
-        raise ValueError("2-factor does not span the graph")
-    m1: set[int] = set()
-    m2: set[int] = set()
-    for cycle in cycles:
-        if len(cycle) % 2:
-            raise ValueError("factor has an odd cycle component")
-        for k, e in enumerate(cycle):
-            (m1 if k % 2 == 0 else m2).add(e)
-    cert = TripleCertificate(frozenset(m1), frozenset(m2), frozenset(m2))
-    report = verify_triple(g, cert)
-    if not report["ok"]:
-        raise ValueError(f"alternation failed: {report['violations']}")
-    return cert
-
-
-def structural_from_factor(g: Graph, factor) -> StructuralCertificate:
-    cycles = factor_cycles(g, factor)
-    if cycles is None:
-        raise ValueError("edge set is not 2-regular")
-    return StructuralCertificate(frozenset(factor),
-                                 tuple(tuple(c) for c in cycles), None)

@@ -161,3 +161,39 @@ def brute_admissible(g: Graph) -> bool:
                 if not (inter & pms[l]):
                     return True
     return False
+
+
+def brute_split_components(g: Graph, edge_set):
+    """Split an edge set into pure cycle components and the rest.
+
+    Finds the components of the edge set by repeated graph search, in order
+    of their smallest vertex.  A component with no degree-3 vertex is a
+    cycle and is returned as its edge set; the edges of every other
+    component are pooled.  Returns (cycles, branch_edges).
+    """
+    edge_set = set(edge_set)
+    inc: dict[int, list[int]] = {}
+    for e in edge_set:
+        u, v = g.edges[e]
+        inc.setdefault(u, []).append(e)
+        inc.setdefault(v, []).append(e)
+    seen: set[int] = set()
+    cycles: list[frozenset[int]] = []
+    branch_edges: set[int] = set()
+    for start in sorted(inc):
+        if start in seen:
+            continue
+        comp, todo = {start}, [start]
+        while todo:
+            for e in inc[todo.pop()]:
+                for w in g.edges[e]:
+                    if w not in comp:
+                        comp.add(w)
+                        todo.append(w)
+        seen |= comp
+        comp_edges = {e for e in edge_set if g.edges[e][0] in comp}
+        if any(len(inc[v]) == 3 for v in comp):
+            branch_edges |= comp_edges
+        else:
+            cycles.append(frozenset(comp_edges))
+    return cycles, frozenset(branch_edges)

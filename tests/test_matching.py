@@ -7,6 +7,7 @@ from tripm import (
     BudgetExhausted,
     count_perfect_matchings,
     enumerate_perfect_matchings,
+    exposable_vertices,
     is_factor_critical,
     is_matching,
     is_matching_covered,
@@ -40,6 +41,17 @@ def test_max_matching_matches_bruteforce_on_random_corpus():
         m = max_matching(g)
         assert is_matching(g, m)
         assert len(m) == max_matching_size(g) == brute_max_matching_size(g)
+
+
+def test_exposable_vertices_agree_with_bruteforce():
+    graphs = random_multigraph_corpus(count=400, seed=5151, max_n=10)
+    graphs += [make_graph(n, []) for n in range(4)]
+    assert any(g.n % 2 for g in graphs) and any(g.m == 0 for g in graphs)
+    for g in graphs:
+        nu = brute_max_matching_size(g)
+        expected = {v for v in range(g.n) if brute_max_matching_size(
+            g.induced_subgraph([u for u in range(g.n) if u != v])[0]) == nu}
+        assert exposable_vertices(g) == expected, g
 
 
 def test_matched_vertices_and_predicates():

@@ -24,7 +24,7 @@ from tripm import (
     structural_check,
     verify_certificate,
 )
-from tripm.generators import carvalho10, k33, petersen, prism
+from tripm.generators import bisubdivide, carvalho10, k33, petersen, prism
 
 from oracles import brute_perfect_matchings
 
@@ -32,13 +32,14 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=100)
 
 # small named graphs to grow from; Petersen has no even 2-factor, so its
-# verdict comes from the skeleton search
-SEEDS = (petersen(), k33(), prism(), carvalho10())
+# verdict comes from the skeleton search, and Petersen bisubdivided once
+# (n = 12) keeps the skeleton clause in reach after a few added edges
+SEEDS = (petersen(), k33(), prism(), carvalho10(), bisubdivide(petersen(), 0))
 
 
 @st.composite
 def matching_covered_graphs(draw):
-    """A matching covered multigraph on at most 10 vertices.
+    """A matching covered multigraph on at most 12 vertices.
 
     Starts from a named graph, or from a random perfect matching plus a
     random spanning tree, and adds a few random edges.  Keeps only the

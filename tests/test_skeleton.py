@@ -1,5 +1,6 @@
 """Bicontraction to cubic skeletons, 3-edge-coloring, and lifting."""
 
+import random
 from dataclasses import replace
 
 import pytest
@@ -17,15 +18,23 @@ from tripm import (
     is_perfect_matching,
     lift_triple,
     make_graph,
-    split_spanning_components,
+    structural_witness,
     triple_from_structural,
     verify_structural,
     verify_triple,
 )
-from tripm.generators import bisubdivide, k4, k33, octahedron, petersen, wheel
+from tripm.generators import (
+    bisubdivide,
+    k4,
+    k33,
+    octahedron,
+    petersen,
+    random_regular,
+    wheel,
+)
 
 from conftest import random_cubic_corpus
-from oracles import brute_cubic_colorable
+from oracles import brute_cubic_colorable, brute_split_components
 
 
 # wheel on 5 rim vertices: rim + three consecutive spokes is a spanning
@@ -101,9 +110,49 @@ def test_extract_skeleton_rejects_isolated_cycle_component():
 
 def test_split_spanning_components():
     g = mixed_host()
-    cycles, branch_edges = split_spanning_components(g, range(g.m))
-    assert cycles == [(0, 2, 3, 1)]
-    assert branch_edges == set(range(4, 11))
+    cert = structural_witness(g, range(g.m))
+    assert cert.cycle_components == ((0, 2, 3, 1),)
+    assert cert.skeleton_part.spanning == frozenset(range(4, 11))
+
+
+def degree_23_edge_sets(count, seed):
+    """Seeded (host, edge set) pairs.  The set is a disjoint union of
+    cycles (digons and odd cycles included) and bisubdivided random cubic
+    graphs under a random relabelling; the host adds a few edges outside
+    the set."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, members = 0, []  # pieces side by side on vertices 0 .. n-1
+        for _ in range(rng.randint(1, 4)):
+            if rng.random() < 0.5:
+                k = rng.randint(2, 7)
+                piece = make_graph(k, [(i, (i + 1) % k) for i in range(k)])
+            else:
+                piece = random_regular(3, rng.choice((4, 6, 8)), rng.randrange(10**6))
+                for _ in range(rng.randint(0, 2)):
+                    piece = bisubdivide(piece, rng.randrange(piece.m))
+            members += [(u + n, v + n) for u, v in piece.edges]
+            n += piece.n
+        perm = rng.sample(range(n), n)
+        items = [((perm[u], perm[v]), True) for u, v in members]
+        items += [(tuple(rng.sample(range(n), 2)), False)
+                  for _ in range(rng.randint(0, 3))]
+        items = sorted(((min(p), max(p)), member) for p, member in items)
+        g = Graph(n, tuple(p for p, _ in items))
+        yield g, frozenset(e for e, (_, member) in enumerate(items) if member)
+
+
+def test_structural_witness_splits_like_the_component_referee():
+    mixed = 0
+    for g, edge_set in degree_23_edge_sets(count=300, seed=2323):
+        cert = structural_witness(g, edge_set)
+        cycles, branch_edges = brute_split_components(g, edge_set)
+        assert [frozenset(c) for c in cert.cycle_components] == cycles
+        sk = cert.skeleton_part
+        assert (frozenset() if sk is None else sk.spanning) == branch_edges
+        assert cert.spanning == edge_set
+        mixed += bool(cycles) and bool(branch_edges)
+    assert mixed > 50
 
 
 def test_color_cubic_3_k4_is_deterministic():
@@ -173,9 +222,9 @@ def test_lift_triple_on_wheel_spanning_set():
 
 def test_lift_triple_needs_spanning_skeleton_part():
     g = mixed_host()
-    _, branch_edges = split_spanning_components(g, range(g.m))
     sk = theta_skeleton_part()
-    assert sk.spanning == frozenset(branch_edges)
+    assert structural_witness(g, range(g.m)).skeleton_part == replace(
+        sk, coloring=None)
     with pytest.raises(ValueError, match="structural certificate"):
         lift_triple(g, sk)
 

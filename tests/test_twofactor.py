@@ -9,8 +9,8 @@ from tripm import (
     find_even_2factor,
     is_perfect_matching,
     make_graph,
-    structural_from_factor,
-    triple_from_even_2factor,
+    structural_witness,
+    triple_from_structural,
     verify_triple,
 )
 from tripm.generators import NAMED, k4, petersen
@@ -101,7 +101,7 @@ def test_find_even_2factor_budget():
 
 def test_triple_from_even_2factor_alternates():
     g = c6()
-    cert = triple_from_even_2factor(g, frozenset(range(6)))
+    cert = triple_from_structural(g, structural_witness(g, frozenset(range(6))))
     assert cert.m1 == frozenset({0, 3, 5})
     assert cert.m2 == frozenset({1, 2, 4})
     assert cert.m3 == cert.m2
@@ -112,20 +112,21 @@ def test_triple_from_even_2factor_alternates():
 
 
 def test_triple_from_even_2factor_validation():
-    with pytest.raises(ValueError, match="not 2-regular"):
-        triple_from_even_2factor(k4(), [0, 1])
+    with pytest.raises(ValueError, match="degree out of range"):
+        structural_witness(k4(), [0, 1])
     g8 = make_graph(8, [(0, 1), (1, 2), (2, 3), (0, 3),
                         (4, 5), (5, 6), (6, 7), (4, 7)])
     inner = [e for e, (u, v) in enumerate(g8.edges) if v <= 3]
-    with pytest.raises(ValueError, match="span"):
-        triple_from_even_2factor(g8, inner)
+    with pytest.raises(ValueError, match="not perfect"):
+        triple_from_structural(g8, structural_witness(g8, inner))
+    g = two_triangles()
     with pytest.raises(ValueError, match="odd cycle"):
-        triple_from_even_2factor(two_triangles(), range(6))
+        triple_from_structural(g, structural_witness(g, range(6)))
 
 
 def test_structural_from_factor_shape():
     g = c6()
-    cert = structural_from_factor(g, frozenset(range(6)))
+    cert = structural_witness(g, frozenset(range(6)))
     assert cert.spanning == frozenset(range(6))
     assert cert.cycle_components == ((0, 2, 3, 4, 5, 1),)
     assert cert.skeleton_part is None
