@@ -184,7 +184,7 @@ def _fastpath_applicable(g: Graph) -> bool:
             and is_k_connected(g, 3))
 
 
-def _step_iii(g: Graph, m1, sub: Graph, emap, ge, b) -> Verdict | None:
+def _step_iii(g: Graph, m1, sub: Graph, emap, ge) -> Verdict | None:
     """Constructive case: G - M1 decomposes into one cut vertex u and three
     factor-critical components.  Two M1 edges e, f across distinct
     components give M2 (forces e, pairs u into the component e misses) and
@@ -225,35 +225,38 @@ def _step_iii(g: Graph, m1, sub: Graph, emap, ge, b) -> Verdict | None:
     triple = _verified(g, m1, m2, m3)
     return Verdict(ADMISSIBLE, triple=triple,
                    evidence={"stage": "four-regular", "step": "iii",
-                             "e": e, "f": f}, nodes=b.used)
+                             "e": e, "f": f})
 
 
-def _fastpath_from_m1(g: Graph, m1, budget) -> Verdict:
-    b = as_budget(budget)
+def _fastpath_from_m1(g: Graph, m1) -> Verdict:
+    """The construction from the perfect matching ``m1``, with no search:
+    step (ii) takes a perfect matching M2 avoiding M1 and returns
+    (M1, M2, M2); step (iii) builds the triple from the Gallai-Edmonds
+    shape of G - M1.  Returns an unknown verdict when neither applies."""
     m1 = frozenset(m1)
     m2 = perfect_matching_with_forced(g, forbidden=m1)
     if m2 is not None:
         return Verdict(ADMISSIBLE, triple=_verified(g, m1, m2, m2),
-                       evidence={"stage": "four-regular", "step": "ii"},
-                       nodes=b.used)
+                       evidence={"stage": "four-regular", "step": "ii"})
     sub, emap = g.spanning_subgraph(set(range(g.m)) - m1)
     ge = gallai_edmonds(sub)
     if len(ge.a) == 1 and not ge.c and ge.omega == 3:
-        verdict = _step_iii(g, m1, sub, emap, ge, b)
+        verdict = _step_iii(g, m1, sub, emap, ge)
         if verdict is not None:
             return verdict
         if g.n <= 18:
             raise AssertionError(
                 "internal: step (iii) construction failed on n <= 18, "
                 "contradicting the admissibility bound")
-    return find_triple_direct(g, b, _gate=False)
+    return Verdict(UNKNOWN, budget_report={"stage": "four-regular", "used": 0})
 
 
 def four_regular_fastpath(g: Graph, budget=None) -> Verdict:
     """Admissibility of a 3-connected 4-regular simple graph via the
     constructive argument: M1 a perfect matching; if G - M1 has one, done;
-    otherwise its Gallai-Edmonds shape drives an explicit construction;
-    any remaining case falls back to the direct search."""
+    otherwise its Gallai-Edmonds shape drives an explicit construction.
+    Only when the construction does not decide does the direct search run,
+    on the whole budget."""
     if not g.is_regular(4):
         raise ValueError("graph is not 4-regular")
     if not g.is_simple():
@@ -265,7 +268,10 @@ def four_regular_fastpath(g: Graph, budget=None) -> Verdict:
     m1 = max_matching(g)
     if len(m1) * 2 != g.n:
         raise ValueError("graph has no perfect matching")
-    return _fastpath_from_m1(g, m1, as_budget(budget))
+    verdict = _fastpath_from_m1(g, m1)
+    if verdict.definitive:
+        return verdict
+    return find_triple_direct(g, budget, _gate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +281,12 @@ def four_regular_fastpath(g: Graph, budget=None) -> Verdict:
 def check(g: Graph, budget=None) -> Verdict:
     """Full decision pipeline.
 
-    Matching-covered gate, then the 4-regular fast path when applicable,
-    then the structural search (whose first phase finds any even 2-factor,
-    Hamilton cycles included), then the direct search.  The first
-    definitive verdict wins.  The budget splits into fixed shares: 10% fast
-    path, 45% structural, 45% direct; the fast path's share goes unused
-    when the fast path does not apply.
+    Matching-covered gate, then the 4-regular construction when it
+    applies, then the structural search (whose first phase finds any even
+    2-factor, Hamilton cycles included), then the direct search.  The
+    first definitive verdict wins.  The construction charges no nodes; the
+    budget splits in halves, the structural search taking ``limit // 2``
+    and the direct search the rest.
     """
     covered, report = is_matching_covered(g)
     if not covered:
@@ -290,37 +296,21 @@ def check(g: Graph, budget=None) -> Verdict:
         return Verdict(INELIGIBLE, reason=f"not matching covered: {reason}")
 
     limit = as_budget(budget).limit
-    if limit is None:
-        fast_limit = struct_limit = direct_limit = None
-    else:
-        fast_limit = limit // 10
-        struct_limit = limit * 45 // 100
-        direct_limit = limit - fast_limit - struct_limit
-    total = 0
-    stage_reports: list[dict] = []
-
     if _fastpath_applicable(g):
-        fast_b = Budget(fast_limit)
         m1 = max_matching(g)  # perfect: g is matching covered
-        verdict = _fastpath_from_m1(g, m1, fast_b)
-        total += fast_b.used
+        verdict = _fastpath_from_m1(g, m1)
         if verdict.definitive:
-            return replace(verdict, nodes=total)
-        stage_reports.append(verdict.budget_report)
+            return verdict
 
-    struct_b = Budget(struct_limit)
+    struct_b = Budget(None if limit is None else limit // 2)
     verdict = structural_check(g, struct_b, _gate=False)
-    total += struct_b.used
     if verdict.definitive:
-        return replace(verdict, nodes=total)
-    stage_reports.append(verdict.budget_report)
-
-    direct_b = Budget(direct_limit)
-    verdict = find_triple_direct(g, direct_b, _gate=False)
-    total += direct_b.used
-    if verdict.definitive:
-        return replace(verdict, nodes=total)
-    stage_reports.append(verdict.budget_report)
-
+        return verdict
+    direct_b = Budget(None if limit is None else limit - struct_b.limit)
+    direct = find_triple_direct(g, direct_b, _gate=False)
+    total = struct_b.used + direct_b.used
+    if direct.definitive:
+        return replace(direct, nodes=total)
     return Verdict(UNKNOWN, budget_report={
-        "limit": limit, "used": total, "stages": stage_reports}, nodes=total)
+        "limit": limit, "used": total,
+        "stages": [verdict.budget_report, direct.budget_report]}, nodes=total)

@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 from .graph import Graph
 from .formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
 from .matching import is_matching, matched_vertices
+from .twofactor import factor_cycles
 
 ADMISSIBLE = "admissible"
 NOT_ADMISSIBLE = "not-admissible"
@@ -318,7 +319,6 @@ def certificate_from_json(g: Graph, obj):
         return TripleCertificate(m1, m2, m3)
     if kind == "even2factor":
         factor = _matching_from_json(g, obj.get("factor"), "factor")
-        from .twofactor import factor_cycles
         # a factor that is not 2-regular decodes with no cycle list; the
         # verifier then reports the partition violation instead of a crash
         cycles = factor_cycles(g, factor) or []

@@ -262,27 +262,17 @@ def count_perfect_matchings(g: Graph, budget=None) -> int:
     return sum(1 for _ in enumerate_perfect_matchings(g, budget))
 
 
-def _witness_classes(g: Graph, pm: frozenset[int], edges, witness: dict) -> None:
-    """Witness each edge of ``edges`` (all in the perfect matching ``pm``)
-    by ``pm``, and each edge parallel to one by ``pm`` with it swapped in."""
-    for e in edges:
-        for f in g.edge_ids_between(*g.edges[e]):
-            if f not in witness:
-                witness[f] = pm if f == e else pm - {e} | {f}
-
-
 def is_matching_covered(g: Graph) -> tuple[bool, dict]:
     """Connected and every edge lies in some perfect matching.
 
-    Returns (flag, report).  On success the report maps every edge id to a
-    witnessing perfect matching that contains it (witnesses are shared
-    between the edges of one matching).  On failure the report names the
-    reason and, when an edge has no perfect matching through it, the
-    lowest such edge id.
+    Returns (flag, report).  On success the report is empty.  On failure
+    it names the reason and, when an edge has no perfect matching through
+    it, the lowest such edge id.
 
-    Costs one maximum matching M plus one augmenting search per edge that
-    no earlier witness covers: uv, with M-partners u' and v', lies in a
-    perfect matching iff M - {uu', vv'} + {uv} augments from u' in G - u - v.
+    Costs one maximum matching M plus one augmenting search per edge whose
+    end pair no perfect matching found so far joins: uv, with M-partners
+    u' and v', lies in a perfect matching iff M - {uu', vv'} + {uv}
+    augments from u' in G - u - v.  Parallel edges share their end pair.
     """
     if g.n == 0 or g.n % 2:
         return False, {"reason": "odd or empty vertex set"}
@@ -294,25 +284,17 @@ def is_matching_covered(g: Graph) -> tuple[bool, dict]:
     match = _maximum_mates(g.n, nbr)
     if -1 in match:
         return False, {"reason": "no perfect matching"}
-    # lowest edge id between each vertex and its mate
-    mate_edge = [g.edge_ids_between(v, match[v])[0] for v in range(g.n)]
-    m0 = frozenset(mate_edge)
-    witness: dict[int, frozenset[int]] = {}
-    _witness_classes(g, m0, m0, witness)
+    covered = {(x, y) for x, y in enumerate(match) if x < y}
     for e, (u, v) in enumerate(g.edges):
-        if e in witness:
+        if (u, v) in covered:
             continue
         trial = match.copy()
         trial[u] = trial[v] = trial[match[u]] = trial[match[v]] = -1
         if not _augment(nbr, trial, match[u], (u, v)):
             return False, {"reason": "edge in no perfect matching", "edge": e}
         trial[u], trial[v] = v, u
-        # only pairs off M can hold edges without a witness
-        moved = [x for x in range(g.n) if trial[x] != match[x]]
-        new = [g.edge_ids_between(x, trial[x])[0] for x in moved if trial[x] > x]
-        pm = m0.difference([mate_edge[x] for x in moved]).union(new)
-        _witness_classes(g, pm, new, witness)
-    return True, {"witness": witness}
+        covered.update((x, y) for x, y in enumerate(trial) if x < y)
+    return True, {}
 
 
 def is_factor_critical(g: Graph, scope=None) -> bool:

@@ -3,12 +3,13 @@ path, and the check() orchestrator with its budget discipline."""
 
 import pytest
 
+import tripm.admissible
 from tripm import (
     ADMISSIBLE,
     INELIGIBLE,
     NOT_ADMISSIBLE,
     UNKNOWN,
-    Budget,
+    Verdict,
     check,
     find_triple_direct,
     four_regular_fastpath,
@@ -196,7 +197,7 @@ def test_fastpath_step_iii_construction():
     sub, _ = g.spanning_subgraph(set(range(g.m)) - m1)
     ge = gallai_edmonds(sub)
     assert len(ge.a) == 1 and not ge.c and ge.omega == 3
-    v = _fastpath_from_m1(g, m1, Budget(10**6))
+    v = _fastpath_from_m1(g, m1)
     assert v.status == ADMISSIBLE
     assert v.evidence["stage"] == "four-regular"
     assert v.evidence["step"] == "iii"
@@ -346,3 +347,58 @@ def test_check_never_negative_under_budget_pressure():
     g = petersen()
     for limit in range(1, 200, 13):
         assert check(g, budget=limit).status in (UNKNOWN, ADMISSIBLE)
+
+
+def test_check_budget_splits_in_halves():
+    v = check(petersen(), budget=10)
+    assert v.status == UNKNOWN
+    assert [s["stage"] for s in v.budget_report["stages"]] == ["structural", "direct"]
+    assert [s["limit"] for s in v.budget_report["stages"]] == [5, 5]
+
+
+@pytest.fixture
+def construction_undecided(monkeypatch):
+    """The 4-regular construction patched to decide nothing."""
+    undecided = Verdict(UNKNOWN, budget_report={"stage": "four-regular", "used": 0})
+    monkeypatch.setattr(tripm.admissible, "_fastpath_from_m1",
+                        lambda *args: undecided)
+
+
+def test_check_falls_to_structural_when_the_construction_does_not_decide(
+        construction_undecided):
+    g = octahedron()
+    v = check(g)
+    assert v.status == ADMISSIBLE
+    assert v.evidence is None
+    assert v.structural.clause == "even-2-factor"
+    assert verify_structural(g, v.structural)["ok"]
+
+
+def test_fastpath_entry_falls_to_direct_when_the_construction_does_not_decide(
+        construction_undecided):
+    g = octahedron()
+    v = four_regular_fastpath(g)
+    assert v.status == ADMISSIBLE
+    assert v.structural is None
+    assert v.nodes > 0
+    assert verify_triple(g, v.triple)["ok"]
+
+
+def test_check_runs_the_direct_search_once(construction_undecided, monkeypatch):
+    calls = []
+    direct = tripm.admissible.find_triple_direct
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return direct(*args, **kwargs)
+
+    monkeypatch.setattr(tripm.admissible, "find_triple_direct", counted)
+    v = check(octahedron(), budget=2)
+    assert v.status == UNKNOWN
+    assert len(calls) == 1
+    assert [s["stage"] for s in v.budget_report["stages"]] == ["structural", "direct"]
+
+
+def test_check_rejects_a_bad_budget_even_when_the_construction_decides():
+    with pytest.raises(ValueError):
+        check(octahedron(), budget=-1)

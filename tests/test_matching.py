@@ -166,10 +166,7 @@ def test_forced_parallel_edge_is_honored():
 def test_classic_graphs_are_matching_covered(g):
     ok, report = is_matching_covered(g)
     assert ok
-    witness = report["witness"]
-    assert set(witness) == set(range(g.m))
-    for e, pm in witness.items():
-        assert e in pm and is_perfect_matching(g, pm)
+    assert report == {}
 
 
 @pytest.mark.parametrize("g,reason", [
@@ -218,11 +215,6 @@ def test_matching_covered_gate_agrees_with_bruteforce_on_multigraphs():
         expected = brute_gate(g)
         assert (ok, report.get("reason"), report.get("edge")) == expected, g
         reasons.add(expected[1])
-        if ok:
-            witness = report["witness"]
-            assert set(witness) == set(range(g.m))
-            for e, pm in witness.items():
-                assert e in pm and is_perfect_matching(g, pm), (g, e)
     assert reasons == {None, "odd or empty vertex set", "not connected",
                        "no perfect matching", "edge in no perfect matching"}
 
