@@ -6,9 +6,10 @@ The direct search is ground truth.  A pair scan suffices for it: a triple
 (M1, M2, M3) with empty common intersection exists iff some pair (Mi, Mj),
 i < j, admits a perfect matching avoiding Mi ∩ Mj (take M3 = that matching;
 conversely any valid triple's third matching avoids the other two's
-intersection).  The structural search realizes the equivalent
-characterization: a spanning subgraph whose components are even cycles or
-bisubdivided pieces of a 3-edge-colorable cubic graph.
+intersection); pairs are scanned as the matchings arrive.  The structural
+search realizes the equivalent characterization: a spanning subgraph whose
+components are even cycles or bisubdivided pieces of a 3-edge-colorable
+cubic graph.
 """
 
 from __future__ import annotations
@@ -65,55 +66,42 @@ def _require_matching_covered(g: Graph) -> None:
 def find_triple_direct(g: Graph, budget=None, *, _gate: bool = True) -> Verdict:
     """Decide admissibility from the definition.
 
-    Enumerates perfect matchings once, then scans pairs (i < j) in
-    enumeration order; a pair with empty intersection yields (Mi, Mj, Mj)
-    immediately, otherwise a perfect matching avoiding the intersection is
-    sought.  NotAdmissible only after the full pair space is exhausted.
+    Pairs each newly enumerated matching Mj with the earlier Mi, i < j,
+    before asking for the next: (0,1), (0,2), (1,2), (0,3), ...  A pair with
+    empty intersection yields (Mi, Mj, Mj), otherwise a perfect matching
+    avoiding Mi ∩ Mj is sought; the first pair that decides wins.
+    NotAdmissible only after enumeration ends and every pair is scanned.
     """
     if _gate:
         _require_matching_covered(g)
     b = as_budget(budget)
     pms: list[frozenset[int]] = []
-    try:
-        for pm in enumerate_perfect_matchings(g, b):
-            pms.append(pm)
-    except BudgetExhausted:
-        return Verdict(UNKNOWN, budget_report={
-            "stage": "direct", "phase": "enumeration",
-            "limit": b.limit, "used": b.used,
-            "matchings_seen": len(pms)}, nodes=b.used)
-    npm = len(pms)
-    if npm == 0:
-        return Verdict(NOT_ADMISSIBLE, evidence={
-            "stage": "direct", "perfect_matchings": 0, "pairs_examined": 0},
-            nodes=b.used)
-    if npm == 1 and not pms[0]:
-        # the empty graph: three empty matchings, vacuously admissible
-        return Verdict(ADMISSIBLE, triple=_verified(g, (), (), ()), nodes=b.used)
     pairs = 0
+    phase = "enumeration"
     try:
-        for i in range(npm):
-            for j in range(i + 1, npm):
+        for mj in enumerate_perfect_matchings(g, b):
+            pms.append(mj)  # counted as seen while its pairs are scanned
+            phase = "pair-scan"
+            for mi in pms[:-1]:
                 b.charge()
                 pairs += 1
-                inter = pms[i] & pms[j]
-                if not inter:
-                    return Verdict(ADMISSIBLE,
-                                   triple=_verified(g, pms[i], pms[j], pms[j]),
-                                   nodes=b.used)
-                m3 = perfect_matching_with_forced(g, forbidden=inter)
+                inter = mi & mj
+                m3 = perfect_matching_with_forced(g, forbidden=inter) if inter else mj
                 if m3 is not None:
-                    return Verdict(ADMISSIBLE,
-                                   triple=_verified(g, pms[i], pms[j], m3),
+                    return Verdict(ADMISSIBLE, triple=_verified(g, mi, mj, m3),
                                    nodes=b.used)
+            phase = "enumeration"
     except BudgetExhausted:
         return Verdict(UNKNOWN, budget_report={
-            "stage": "direct", "phase": "pair-scan",
+            "stage": "direct", "phase": phase,
             "limit": b.limit, "used": b.used,
-            "perfect_matchings": npm, "pairs_examined": pairs}, nodes=b.used)
+            "matchings_seen": len(pms), "pairs_examined": pairs}, nodes=b.used)
+    if pms == [frozenset()]:
+        # the empty graph: three empty matchings, vacuously admissible
+        return Verdict(ADMISSIBLE, triple=_verified(g, (), (), ()), nodes=b.used)
     return Verdict(NOT_ADMISSIBLE, evidence={
-        "stage": "direct", "perfect_matchings": npm, "pairs_examined": pairs},
-        nodes=b.used)
+        "stage": "direct", "perfect_matchings": len(pms),
+        "pairs_examined": pairs}, nodes=b.used)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .certificates import (
     NOT_ADMISSIBLE,
     UNKNOWN,
     CertificateFormatError,
+    Verdict,
     certificate_from_json,
     certificate_to_json,
     verify_certificate,
@@ -152,13 +153,20 @@ def _survey_record(lineno: int, line: str, g: Graph, budget: int,
     if verdict.triple is not None:
         record["certificate"] = certificate_to_json(g, verdict.triple)
     if cross and verdict.status != INELIGIBLE:
-        direct = find_triple_direct(g, budget, _gate=False)
-        structural = structural_check(g, budget, _gate=False)
-        record["direct"] = direct.status
-        record["structural"] = structural.status
-        record["agree"] = {direct.status, structural.status} != {
-            ADMISSIBLE, NOT_ADMISSIBLE}
+        direct = find_triple_direct(g, budget, _gate=False).status
+        structural = _structural_status(g, budget, verdict)
+        record.update(direct=direct, structural=structural,
+                      agree={direct, structural} != {ADMISSIBLE, NOT_ADMISSIBLE})
     return record
+
+
+def _structural_status(g: Graph, budget: int, verdict: Verdict) -> str:
+    """The structural route's status under the full budget, reusing check()'s
+    verdict when its structural stage decided: that search is deterministic."""
+    if verdict.structural is not None or (
+            verdict.evidence or {}).get("stage") == "structural":
+        return verdict.status
+    return structural_check(g, budget, _gate=False).status
 
 
 def cmd_survey(args) -> int:

@@ -301,6 +301,10 @@ def is_factor_critical(g: Graph, scope=None) -> bool:
     """True iff deleting any single vertex of ``scope`` leaves a subgraph of
     ``scope`` with a perfect matching.  ``scope`` defaults to all vertices
     and must induce a connected subgraph.
+
+    By Gallai's lemma a connected graph is factor-critical exactly when
+    some maximum matching exposes each vertex, so one ``exposable_vertices``
+    call on the induced subgraph decides it.
     """
     vs = sorted(range(g.n)) if scope is None else sorted(set(scope))
     if not vs:
@@ -309,8 +313,5 @@ def is_factor_critical(g: Graph, scope=None) -> bool:
         raise ValueError("scope must induce a connected subgraph")
     if len(vs) % 2 == 0:
         return False
-    for v in vs:
-        sub, _, _ = g.induced_subgraph([u for u in vs if u != v])
-        if max_matching_size(sub) * 2 != sub.n:
-            return False
-    return True
+    sub, _, _ = g.induced_subgraph(vs)
+    return len(exposable_vertices(sub)) == sub.n

@@ -11,11 +11,14 @@ from tripm import (
     UNKNOWN,
     Verdict,
     check,
+    enumerate_perfect_matchings,
     find_triple_direct,
     four_regular_fastpath,
     gallai_edmonds,
     is_k_connected,
+    is_matching_covered,
     make_graph,
+    parse_graph6,
     structural_check,
     verify_structural,
     verify_triple,
@@ -29,8 +32,12 @@ from tripm.generators import (
     wheel,
 )
 
-from conftest import sampled_matching_covered, three_connected_four_regular
-from oracles import brute_is_hamiltonian
+from conftest import (
+    random_multigraph_corpus,
+    sampled_matching_covered,
+    three_connected_four_regular,
+)
+from oracles import brute_is_hamiltonian, brute_perfect_matchings
 
 
 def c4():
@@ -82,10 +89,13 @@ def test_direct_budget_phases():
     assert v.budget_report["phase"] == "enumeration"
     assert v.budget_report["limit"] == 3
     assert v.budget_report["matchings_seen"] <= 6
-    v = find_triple_direct(g, 40)  # enumeration finishes at exactly 40 nodes
+    # the second matching arrives within 11 nodes; its first pair needs one more
+    v = find_triple_direct(g, 11)
     assert v.status == UNKNOWN
     assert v.budget_report["phase"] == "pair-scan"
-    assert v.budget_report["perfect_matchings"] == 6
+    assert v.budget_report["matchings_seen"] == 2
+    assert v.budget_report["pairs_examined"] == 0
+    assert find_triple_direct(g, 12).status == ADMISSIBLE
 
 
 def test_direct_never_negative_on_budget_stops():
@@ -98,8 +108,61 @@ def test_direct_never_negative_on_budget_stops():
 
 
 def test_direct_verdict_nodes_accounting():
+    # 11 enumeration nodes reach the second matching, and the pair (0, 1) decides
     v = find_triple_direct(petersen())
-    assert v.status == ADMISSIBLE and v.nodes == 41
+    assert v.status == ADMISSIBLE and v.nodes == 12
+
+
+def test_direct_pulls_only_the_matchings_its_deciding_pair_needs(monkeypatch):
+    yielded = []
+    enumerate_all = tripm.admissible.enumerate_perfect_matchings
+
+    def counted(*args, **kwargs):
+        for pm in enumerate_all(*args, **kwargs):
+            yielded.append(pm)
+            yield pm
+
+    monkeypatch.setattr(tripm.admissible, "enumerate_perfect_matchings", counted)
+    assert find_triple_direct(petersen()).status == ADMISSIBLE
+    assert len(yielded) == 2
+
+
+def _decides(pms, mi, mj):
+    inter = mi & mj
+    return any(not pm & inter for pm in pms)
+
+
+# a random cubic graph whose first deciding pair is (0, 4) in lexicographic
+# order but (1, 3) in streamed order
+STREAMED_PAIR_DIFFERS_G6 = "M?r@?cOHAOaCG`_W?"
+
+
+def test_direct_streaming_scan_against_an_oracle():
+    graphs = [g for g in random_multigraph_corpus(1500, seed=4)
+              if is_matching_covered(g)[0]]
+    assert len(graphs) > 150
+    graphs.append(parse_graph6(STREAMED_PAIR_DIFFERS_G6))
+    firsts = set()
+    for g in graphs:
+        pms = list(enumerate_perfect_matchings(g))
+        assert set(pms) == set(brute_perfect_matchings(g))
+        lexicographic = [(i, j) for i in range(len(pms))
+                         for j in range(i + 1, len(pms))]
+        streamed = sorted(lexicographic, key=lambda p: (p[1], p[0]))
+        deciding = [p for p in streamed if _decides(pms, pms[p[0]], pms[p[1]])]
+        admissible = any(_decides(pms, pms[i], pms[j]) for i, j in lexicographic)
+        v = find_triple_direct(g)
+        assert v.status == (ADMISSIBLE if admissible else NOT_ADMISSIBLE), g
+        if admissible:
+            i, j = deciding[0]
+            firsts.add((i, j) == min(deciding))
+            assert (v.triple.m1, v.triple.m2) == (pms[i], pms[j]), g
+            assert verify_triple(g, v.triple)["ok"]
+        else:
+            assert v.evidence["pairs_examined"] == len(lexicographic)
+        for limit in range(1, v.nodes):
+            assert find_triple_direct(g, limit).status in (UNKNOWN, ADMISSIBLE), g
+    assert firsts == {True, False}  # some graph tells the two orders apart
 
 
 # ---------------------------------------------------------------------------

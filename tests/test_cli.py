@@ -12,7 +12,7 @@ import pytest
 import tripm.cli
 from tripm import DEFAULT_BUDGET, make_graph, write_edge_list, write_graph6
 from tripm.cli import main
-from tripm.generators import k4, no_pm_cubic16, petersen, wheel
+from tripm.generators import k4, no_pm_cubic16, octahedron, petersen, wheel
 
 PETERSEN_G6 = "IheA@GUAo"
 K2_G6 = "A_"
@@ -294,6 +294,35 @@ def test_survey_cross_validate(tmp_path, capsys):
     assert checked and all(r["agree"] for r in checked)
     assert all(r["direct"] == r["structural"] == r["verdict"] for r in checked)
     assert summary["summary"]["disagreements"] == 0
+
+
+def test_survey_cross_validate_runs_each_route_once(tmp_path, capsys,
+                                                    monkeypatch):
+    calls = {"structural": 0, "direct": 0}
+
+    def counted(name, route):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return route(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(tripm.cli, "structural_check",
+                        counted("structural", tripm.cli.structural_check))
+    monkeypatch.setattr(tripm.cli, "find_triple_direct",
+                        counted("direct", tripm.cli.find_triple_direct))
+    # K4 is decided by check()'s structural stage, which the record reuses;
+    # the octahedron by the 4-regular construction, so the structural
+    # route runs once for it
+    for g, structural_calls in ((k4(), 0), (octahedron(), 1)):
+        calls.update(structural=0, direct=0)
+        path = write(tmp_path, "g.g6", write_graph6(g) + "\n")
+        code, out, _ = run(capsys, ["survey", path, "--jobs", "1",
+                                    "--cross-validate"])
+        assert code == 0
+        record = json.loads(out.splitlines()[0])
+        assert record["agree"] is True
+        assert record["direct"] == record["structural"] == "admissible"
+        assert calls == {"structural": structural_calls, "direct": 1}
 
 
 def test_importing_the_cli_leaves_the_process_pool_unloaded():

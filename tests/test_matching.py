@@ -1,5 +1,7 @@
 """Blossom matching, constrained perfect matchings, enumeration, coverage."""
 
+import random
+
 import pytest
 
 from tripm import (
@@ -8,6 +10,7 @@ from tripm import (
     count_perfect_matchings,
     enumerate_perfect_matchings,
     exposable_vertices,
+    is_connected,
     is_factor_critical,
     is_matching,
     is_matching_covered,
@@ -231,6 +234,32 @@ def test_factor_critical():
         is_factor_critical(g, scope=())
     with pytest.raises(ValueError):
         is_factor_critical(make_graph(4, [(0, 1), (2, 3)]), scope=(0, 2))
+
+
+def _factor_critical_by_deletion(g, scope):
+    """The definition: every vertex deletion leaves a perfect matching."""
+    for v in scope:
+        sub, _, _ = g.induced_subgraph([u for u in scope if u != v])
+        if max_matching_size(sub) * 2 != sub.n:
+            return False
+    return True
+
+
+def test_factor_critical_agrees_with_vertex_deletion_on_random_scopes():
+    rng = random.Random(5)
+    cases = critical = 0
+    for g in random_multigraph_corpus(4000, seed=5):
+        for _ in range(2):
+            scope = sorted(rng.sample(range(g.n), rng.randint(1, g.n)))
+            if not is_connected(g, vertices=scope):
+                with pytest.raises(ValueError):
+                    is_factor_critical(g, scope)
+                continue
+            expected = len(scope) % 2 == 1 and _factor_critical_by_deletion(g, scope)
+            assert is_factor_critical(g, scope) == expected, (g, scope)
+            cases += 1
+            critical += expected
+    assert cases > 4000 and critical > 1000
 
 
 def test_budget_helpers():
