@@ -65,15 +65,18 @@ def _parse_graph(text: str, fmt: str | None) -> Graph:
 
 
 def _resolve_budget(args) -> int:
-    if args.budget is not None:
-        return args.budget
-    env = os.environ.get("TRIPM_BUDGET")
-    if env is not None:
+    budget = args.budget
+    if budget is None:
+        env = os.environ.get("TRIPM_BUDGET")
+        if env is None:
+            return DEFAULT_BUDGET
         try:
-            return int(env)
+            budget = int(env)
         except ValueError:
             raise UsageError(f"TRIPM_BUDGET must be an integer, got {env!r}") from None
-    return DEFAULT_BUDGET
+    if budget < 0:
+        raise UsageError(f"budget must be >= 0, got {budget}")
+    return budget
 
 
 def _emit_graph(g: Graph, fmt: str | None) -> str:

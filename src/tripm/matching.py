@@ -16,37 +16,40 @@ from .graph import Graph, is_connected
 
 
 def _augment(nbr: list[list[int]], match: list[int], root: int,
-             blocked=()) -> bool:
+             blocked=()) -> list[int] | None:
     """One Edmonds search for an augmenting path from the exposed ``root``,
-    with blossom shrinking; on success flips the path in ``match``.
+    with blossom shrinking; on success flips the path in ``match`` and
+    returns its vertices, otherwise returns None.
 
     ``nbr[v]`` lists neighbors in ascending order.  ``blocked`` vertices
     must be exposed; they start marked as reached, so the search never
-    enters them and runs on the graph without them.
+    enters them and runs on the graph without them.  A blossom can only
+    hold vertices the search has labelled, so shrinking one scans those
+    alone, and the cost follows the part of the graph the search reaches.
     """
     n = len(match)
     p = [-1] * n
     for x in blocked:
         p[x] = x
 
-    def lca(base: list[int], a: int, b: int) -> int:
-        used = [False] * n
+    def lca(a: int, b: int) -> int:
+        seen = set()
         while True:
             a = base[a]
-            used[a] = True
+            seen.add(a)
             if match[a] == -1:
                 break
             a = p[match[a]]
         while True:
             b = base[b]
-            if used[b]:
+            if b in seen:
                 return b
             b = p[match[b]]
 
-    def mark_path(base: list[int], in_blossom: list[bool], v: int, b: int, child: int) -> None:
+    def mark_path(in_blossom: set[int], v: int, b: int, child: int) -> None:
         while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+            in_blossom.add(base[v])
+            in_blossom.add(base[match[v]])
             p[v] = child
             child = match[v]
             v = p[match[v]]
@@ -54,6 +57,7 @@ def _augment(nbr: list[list[int]], match: list[int], root: int,
     base = list(range(n))
     used = [False] * n
     used[root] = True
+    labelled = [root]  # every vertex of the search tree, once
     q = deque([root])
     while q:
         v = q.popleft()
@@ -62,30 +66,36 @@ def _augment(nbr: list[list[int]], match: list[int], root: int,
                 continue
             if to == root or (match[to] != -1 and p[match[to]] != -1):
                 # odd cycle: shrink the blossom to its base
-                curbase = lca(base, v, to)
-                in_blossom = [False] * n
-                mark_path(base, in_blossom, v, curbase, to)
-                mark_path(base, in_blossom, to, curbase, v)
-                for i in range(n):
-                    if in_blossom[base[i]]:
+                curbase = lca(v, to)
+                in_blossom: set[int] = set()
+                mark_path(in_blossom, v, curbase, to)
+                mark_path(in_blossom, to, curbase, v)
+                reached = []
+                for i in labelled:
+                    if base[i] in in_blossom:
                         base[i] = curbase
                         if not used[i]:
                             used[i] = True
-                            q.append(i)
+                            reached.append(i)
+                q.extend(sorted(reached))
             elif p[to] == -1:
                 p[to] = v
+                labelled.append(to)
                 if match[to] == -1:
                     # augment along the alternating path back to root
+                    path = []
                     while to != -1:
                         prev = p[to]
                         nxt = match[prev]
                         match[to] = prev
                         match[prev] = to
+                        path += (to, prev)
                         to = nxt
-                    return True
+                    return path
                 used[match[to]] = True
+                labelled.append(match[to])
                 q.append(match[to])
-    return False
+    return None
 
 
 def _maximum_mates(n: int, nbr: list[list[int]]) -> list[int]:
@@ -126,7 +136,7 @@ def exposable_vertices(g: Graph) -> frozenset[int]:
             continue
         trial = match.copy()
         trial[v] = trial[u] = -1
-        if _augment(nbr, trial, u, (v,)):
+        if _augment(nbr, trial, u, (v,)) is not None:
             d.add(v)
     return frozenset(d)
 
@@ -290,10 +300,12 @@ def is_matching_covered(g: Graph) -> tuple[bool, dict]:
             continue
         trial = match.copy()
         trial[u] = trial[v] = trial[match[u]] = trial[match[v]] = -1
-        if not _augment(nbr, trial, match[u], (u, v)):
+        flipped = _augment(nbr, trial, match[u], (u, v))
+        if flipped is None:
             return False, {"reason": "edge in no perfect matching", "edge": e}
-        trial[u], trial[v] = v, u
-        covered.update((x, y) for x, y in enumerate(trial) if x < y)
+        # the new perfect matching is M with the path flipped, plus uv
+        covered.add((u, v))
+        covered.update((x, trial[x]) for x in flipped if x < trial[x])
     return True, {}
 
 

@@ -6,12 +6,14 @@ import pytest
 import tripm.admissible
 from tripm import (
     ADMISSIBLE,
+    Budget,
     INELIGIBLE,
     NOT_ADMISSIBLE,
     UNKNOWN,
     Verdict,
     check,
     enumerate_perfect_matchings,
+    find_even_2factor,
     find_triple_direct,
     four_regular_fastpath,
     gallai_edmonds,
@@ -23,14 +25,21 @@ from tripm import (
     verify_structural,
     verify_triple,
 )
-from tripm.admissible import _fastpath_applicable, _fastpath_from_m1
+from tripm.admissible import (
+    PROBE_NODES_PER_EDGE,
+    _fastpath_applicable,
+    _fastpath_from_m1,
+    _structural_candidate,
+)
 from tripm.generators import (
     k4,
     no_pm_cubic16,
     octahedron,
     petersen,
+    random_regular,
     wheel,
 )
+from tripm.twofactor import search_spanning
 
 from conftest import (
     random_multigraph_corpus,
@@ -46,6 +55,20 @@ def c4():
 
 def digon():
     return make_graph(2, [(0, 1), (0, 1)])
+
+
+def flower(k):
+    """Isaacs flower snark J_k in the benchmark's numbering: star centre
+    a_i = 4i with leaves b_i = 4i+1, c_i = 4i+2, d_i = 4i+3, the cycle
+    b_0 .. b_{k-1}, and the 2k-cycle c_0 .. c_{k-1} d_0 .. d_{k-1}."""
+    pairs = []
+    for i in range(k):
+        a, b, c, d = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
+        pairs += [(a, b), (a, c), (a, d), (b, 4 * ((i + 1) % k) + 1)]
+        if i < k - 1:
+            pairs += [(c, c + 4), (d, d + 4)]
+    pairs += [(4 * (k - 1) + 2, 3), (4 * (k - 1) + 3, 2)]
+    return make_graph(4 * k, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +250,39 @@ def test_structural_agrees_with_direct_on_small_corpus():
         b = structural_check(g, 10**6)
         assert a.status == b.status
         assert a.status in (ADMISSIBLE, NOT_ADMISSIBLE)
+
+
+def test_structural_skips_the_full_edge_leaf_only_on_cubic_graphs():
+    # a theta graph with three chains of length 3: no 2-factor at all, and
+    # its only witness is the full edge set, whose skeleton is a triple edge
+    g = parse_graph6("GgAHs_")
+    assert not g.is_regular(3)
+    v = check(g)
+    assert v.status == ADMISSIBLE
+    assert v.structural.clause == "skeleton"
+    skeleton = v.structural.skeleton_part.skeleton
+    assert (skeleton.n, skeleton.edges) == (2, ((0, 1),) * 3)
+    assert verify_structural(g, v.structural)["ok"]
+    assert find_triple_direct(g).status == structural_check(g).status
+
+
+@pytest.mark.parametrize("make, before, after", [
+    (petersen, 264, 180),
+    (lambda: flower(5), 1731, 940),
+])
+def test_structural_proves_no_even_2factor_once_on_cubic_graphs(
+        make, before, after):
+    g = make()
+    phase1 = Budget(None)
+    assert find_even_2factor(g, phase1) is None
+    assert before - after == phase1.used
+    v = structural_check(g)
+    assert v.nodes == after
+    # phase 2 colouring every leaf, the full edge set included, finds the
+    # same witness
+    full = search_spanning(g, Budget(None), 3, False,
+                           lambda chosen: _structural_candidate(g, chosen, None))
+    assert v.structural == full
 
 
 # ---------------------------------------------------------------------------
@@ -465,3 +521,77 @@ def test_check_runs_the_direct_search_once(construction_undecided, monkeypatch):
 def test_check_rejects_a_bad_budget_even_when_the_construction_decides():
     with pytest.raises(ValueError):
         check(octahedron(), budget=-1)
+
+
+def test_check_rejects_a_bad_budget_on_an_ineligible_graph():
+    with pytest.raises(ValueError):
+        check(no_pm_cubic16(), budget=-1)
+
+
+@pytest.mark.parametrize("k, nodes", [(7, 2785), (9, 3719)])
+def test_check_lets_the_direct_probe_decide_snarks(k, nodes):
+    g = flower(k)
+    probe = PROBE_NODES_PER_EDGE * g.m
+    direct = find_triple_direct(g)
+    v = check(g)
+    assert v.status == ADMISSIBLE
+    assert v.structural is None
+    assert verify_triple(g, v.triple)["ok"]
+    # the structural probe stops one node past its limit
+    assert v.nodes == nodes == probe + 1 + direct.nodes
+    assert v.triple == direct.triple
+
+
+@pytest.mark.parametrize("make", [lambda: flower(3), lambda: flower(5), petersen])
+def test_check_keeps_structural_certificates_the_probe_finds(make):
+    g = make()
+    v = check(g)
+    assert v.status == ADMISSIBLE
+    assert v.structural is not None
+    assert v.nodes == structural_check(g).nodes
+    assert verify_structural(g, v.structural)["ok"]
+
+
+@pytest.mark.parametrize("k", [5, 7, 9])
+def test_check_probe_round_under_budget_pressure(k):
+    g = flower(k)
+    probe = PROBE_NODES_PER_EDGE * g.m
+    for limit in (0, 1, 97, 1000, 4 * probe - 1, 4 * probe, 4 * probe + 1,
+                  10_000, 30_000):
+        v = check(g, budget=limit)
+        assert v.status in (UNKNOWN, ADMISSIBLE)
+        assert v.nodes <= limit + 2
+
+
+def test_check_runs_the_probe_round_from_four_probes_up():
+    g = flower(7)
+    probe = PROBE_NODES_PER_EDGE * g.m
+    # below four probes the halves alone run, and the structural one decides
+    below = check(g, budget=4 * probe - 1)
+    assert below.structural is not None
+    assert below.nodes == structural_check(g).nodes
+    assert check(g, budget=4 * probe).structural is None
+
+
+def test_check_budget_report_lists_every_search_that_ran():
+    # neither search decides this graph within a probe, nor within a half
+    g = random_regular(3, 60, 0)
+    probe = PROBE_NODES_PER_EDGE * g.m
+    limit = 4 * probe
+    v = check(g, budget=limit)
+    assert v.status == UNKNOWN
+    stages = v.budget_report["stages"]
+    assert [s["stage"] for s in stages] == [
+        "structural", "direct", "structural", "direct"]
+    half = (limit - 2 * (probe + 1)) // 2
+    assert [s["limit"] for s in stages] == [probe, probe, half, half]
+    assert v.budget_report["used"] == v.nodes == sum(s["used"] for s in stages)
+    assert v.nodes <= limit + 2
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6, 7, 8, 9])
+def test_routes_agree_on_flower_snarks(k):
+    g = flower(k)
+    statuses = {find_triple_direct(g).status, structural_check(g).status,
+                check(g).status}
+    assert statuses == {ADMISSIBLE}

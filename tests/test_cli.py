@@ -100,6 +100,18 @@ def test_budget_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     assert "TRIPM_BUDGET" in err
 
 
+@pytest.mark.parametrize("command", ["check", "survey"])
+def test_negative_budget_is_a_usage_error(tmp_path, capsys, monkeypatch, command):
+    path = write(tmp_path, "p.g6", PETERSEN_G6 + "\n")
+    code, out, err = run(capsys, [command, path, "--budget", "-1"])
+    assert (code, out) == (4, "")
+    assert err.startswith("tripm: ") and "-1" in err
+    monkeypatch.setenv("TRIPM_BUDGET", "-3")
+    code, out, err = run(capsys, [command, path])
+    assert (code, out) == (4, "")
+    assert err.startswith("tripm: ") and "-3" in err
+
+
 def test_cert_out_then_verify_round_trip(tmp_path, capsys):
     gpath = write(tmp_path, "p.g6", PETERSEN_G6)
     cpath = str(tmp_path / "cert.json")
