@@ -59,7 +59,6 @@ from .twofactor import factor_cycles, find_even_2factor
 from .admissible import (
     check,
     find_triple_direct,
-    four_regular_fastpath,
     structural_check,
 )
 from . import generators
@@ -97,7 +96,6 @@ __all__ = [
     "factor_cycles",
     "find_even_2factor",
     "find_triple_direct",
-    "four_regular_fastpath",
     "gallai_edmonds",
     "generators",
     "is_connected",

@@ -1,6 +1,6 @@
 """Admissibility decisions: direct triple search, structural search over
-spanning degree-{2,3} subgraphs, the constructive 4-regular fast path, and
-the check() orchestrator.
+spanning degree-{2,3} subgraphs, and the check() orchestrator with its
+constructive 4-regular stage.
 
 The direct search is ground truth.  A pair scan suffices for it: a triple
 (M1, M2, M3) with empty common intersection exists iff some pair (Mi, Mj),
@@ -179,12 +179,11 @@ def structural_check(g: Graph, budget=None, *, _gate: bool = True) -> Verdict:
 
 
 # ---------------------------------------------------------------------------
-# 4-regular fast path
+# 4-regular construction
 
 
 def _fastpath_applicable(g: Graph) -> bool:
-    return (g.n % 2 == 0 and g.is_regular(4) and g.is_simple()
-            and is_k_connected(g, 3))
+    return g.is_regular(4) and g.is_simple()
 
 
 def _step_iii(g: Graph, m1, sub: Graph, emap, ge) -> Verdict | None:
@@ -235,7 +234,10 @@ def _fastpath_from_m1(g: Graph, m1) -> Verdict:
     """The construction from the perfect matching ``m1``, with no search:
     step (ii) takes a perfect matching M2 avoiding M1 and returns
     (M1, M2, M2); step (iii) builds the triple from the Gallai-Edmonds
-    shape of G - M1.  Returns an unknown verdict when neither applies."""
+    shape of G - M1.  Returns an unknown verdict when neither applies.
+
+    Step (iii) cannot fail on a 3-connected graph with n <= 18, so only that
+    failure tests connectivity; every returned triple is verified anyway."""
     m1 = frozenset(m1)
     m2 = perfect_matching_with_forced(g, forbidden=m1)
     if m2 is not None:
@@ -247,34 +249,11 @@ def _fastpath_from_m1(g: Graph, m1) -> Verdict:
         verdict = _step_iii(g, m1, sub, emap, ge)
         if verdict is not None:
             return verdict
-        if g.n <= 18:
+        if g.n <= 18 and is_k_connected(g, 3):
             raise AssertionError(
                 "internal: step (iii) construction failed on n <= 18, "
                 "contradicting the admissibility bound")
     return Verdict(UNKNOWN, budget_report={"stage": "four-regular", "used": 0})
-
-
-def four_regular_fastpath(g: Graph, budget=None) -> Verdict:
-    """Admissibility of a 3-connected 4-regular simple graph via the
-    constructive argument: M1 a perfect matching; if G - M1 has one, done;
-    otherwise its Gallai-Edmonds shape drives an explicit construction.
-    Only when the construction does not decide does the direct search run,
-    on the whole budget."""
-    if not g.is_regular(4):
-        raise ValueError("graph is not 4-regular")
-    if not g.is_simple():
-        raise ValueError("graph is not simple")
-    if g.n % 2:
-        raise ValueError("odd vertex count")
-    if not is_k_connected(g, 3):
-        raise ValueError("graph is not 3-connected")
-    m1 = max_matching(g)
-    if len(m1) * 2 != g.n:
-        raise ValueError("graph has no perfect matching")
-    verdict = _fastpath_from_m1(g, m1)
-    if verdict.definitive:
-        return verdict
-    return find_triple_direct(g, budget, _gate=False)
 
 
 # ---------------------------------------------------------------------------
@@ -284,11 +263,14 @@ def four_regular_fastpath(g: Graph, budget=None) -> Verdict:
 def check(g: Graph, budget=None) -> Verdict:
     """Full decision pipeline.
 
-    Matching-covered gate, then the 4-regular construction when it
-    applies, then the two searches: the structural one (whose first phase
-    finds any even 2-factor, Hamilton cycles included) and the direct one.
-    The first definitive verdict wins, and its ``nodes`` count every node
-    charged.  The construction charges no nodes.
+    Matching-covered gate, then on a simple 4-regular graph the
+    construction from one perfect matching (its verdicts carry
+    ``evidence["stage"] == "four-regular"``), then the two searches: the
+    structural one (whose first phase finds any even 2-factor, Hamilton
+    cycles included) and the direct one.  The first definitive verdict
+    wins, and its ``nodes`` count every node charged.  The construction
+    charges no nodes; when it does not decide, the searches run as on any
+    other graph.
 
     When the budget is unlimited or at least four probes, each search first
     gets one probe of ``PROBE_NODES_PER_EDGE * g.m`` nodes, structural

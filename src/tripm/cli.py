@@ -48,10 +48,14 @@ class UsageError(Exception):
 
 
 def _read_text(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})") from None
 
 
 def _parse_graph(text: str, fmt: str | None) -> Graph:
@@ -224,7 +228,11 @@ def cmd_generate(args) -> int:
 def cmd_verify(args) -> int:
     g = _parse_graph(_read_text(args.graph), args.format)
     text = _read_text(args.certificate)
-    obj = json.loads(text)
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise CertificateFormatError(
+            "certificate JSON is nested too deeply") from None
     cert = certificate_from_json(g, obj)
     report = verify_certificate(g, cert)
     print(json.dumps(report, indent=2))

@@ -1,5 +1,5 @@
-"""Decision pipeline: direct search, structural search, 4-regular fast
-path, and the check() orchestrator with its budget discipline."""
+"""Decision pipeline: direct search, structural search, the 4-regular
+construction, and the check() orchestrator with its budget discipline."""
 
 import pytest
 
@@ -15,7 +15,6 @@ from tripm import (
     enumerate_perfect_matchings,
     find_even_2factor,
     find_triple_direct,
-    four_regular_fastpath,
     gallai_edmonds,
     is_k_connected,
     is_matching_covered,
@@ -286,18 +285,24 @@ def test_structural_proves_no_even_2factor_once_on_cubic_graphs(
 
 
 # ---------------------------------------------------------------------------
-# 4-regular fast path
+# 4-regular construction, run by check() as its "four-regular" stage
+
+
+def assert_constructed(g, v, step):
+    assert v.status == ADMISSIBLE
+    assert v.evidence["stage"] == "four-regular"
+    assert v.evidence["step"] == step
+    assert v.nodes == 0  # construction is purely polynomial
+    assert verify_triple(g, v.triple)["ok"]
 
 
 def test_fastpath_octahedron_step_ii():
     g = octahedron()
-    v = four_regular_fastpath(g)
-    assert v.status == ADMISSIBLE
+    v = check(g)
+    assert_constructed(g, v, "ii")
     assert v.evidence == {"stage": "four-regular", "step": "ii"}
     assert v.triple.m2 == v.triple.m3
     assert not (v.triple.m1 & v.triple.m2)
-    assert verify_triple(g, v.triple)["ok"]
-    assert v.nodes == 0  # construction is purely polynomial
 
 
 def planted_step_iii_graph():
@@ -312,7 +317,7 @@ def planted_step_iii_graph():
 
 def test_fastpath_step_iii_construction():
     g, m1 = planted_step_iii_graph()
-    assert _fastpath_applicable(g)
+    assert _fastpath_applicable(g) and is_k_connected(g, 3)
     sub, _ = g.spanning_subgraph(set(range(g.m)) - m1)
     ge = gallai_edmonds(sub)
     assert len(ge.a) == 1 and not ge.c and ge.omega == 3
@@ -329,25 +334,34 @@ def test_fastpath_step_iii_construction():
 
 
 def test_fastpath_public_entry_on_planted_graph():
+    # check() is the construction's one public entry; its M1 comes from
+    # max_matching, which leaves G - M1 a perfect matching
     g, _ = planted_step_iii_graph()
-    v = four_regular_fastpath(g)
-    assert v.status == ADMISSIBLE
-    assert verify_triple(g, v.triple)["ok"]
+    assert_constructed(g, check(g), "ii")
+
+
+def test_fastpath_step_iii_failure_raises_only_on_a_3_connected_graph(
+        monkeypatch):
+    g, m1 = planted_step_iii_graph()
+    monkeypatch.setattr(tripm.admissible, "_step_iii", lambda *args: None)
+    with pytest.raises(AssertionError, match="n <= 18"):
+        _fastpath_from_m1(g, m1)
+    monkeypatch.setattr(tripm.admissible, "is_k_connected", lambda *args: False)
+    v = _fastpath_from_m1(g, m1)
+    assert v.status == UNKNOWN
+    assert v.budget_report == {"stage": "four-regular", "used": 0}
 
 
 def test_fastpath_preconditions():
-    with pytest.raises(ValueError, match="4-regular"):
-        four_regular_fastpath(petersen())
-    k5 = make_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
-    with pytest.raises(ValueError, match="odd"):
-        four_regular_fastpath(k5)
+    assert not _fastpath_applicable(petersen())
     doubled = make_graph(4, [(0, 1), (0, 1), (1, 2), (1, 2),
                              (2, 3), (2, 3), (0, 3), (0, 3)])
-    with pytest.raises(ValueError, match="simple"):
-        four_regular_fastpath(doubled)
-    glued = two_octahedra_with_bridge_pair()
-    with pytest.raises(ValueError, match="3-connected"):
-        four_regular_fastpath(glued)
+    assert not _fastpath_applicable(doubled)
+    # 3-connectivity is no precondition: every constructed triple is verified
+    assert _fastpath_applicable(two_octahedra_with_bridge_pair())
+    # odd order never reaches the construction: the gate refuses it
+    k5 = make_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
+    assert check(k5).status == INELIGIBLE
 
 
 def two_octahedra_with_bridge_pair():
@@ -361,11 +375,21 @@ def two_octahedra_with_bridge_pair():
     return g
 
 
-def test_fastpath_small_seeded_corpus_all_admissible():
-    for g in three_connected_four_regular(10, seed_start=400, count=10):
-        v = four_regular_fastpath(g)
-        assert v.status == ADMISSIBLE
-        assert verify_triple(g, v.triple)["ok"]
+def test_check_constructs_a_triple_on_a_graph_that_is_not_3_connected():
+    g = two_octahedra_with_bridge_pair()
+    assert_constructed(g, check(g), "ii")
+
+
+def test_fastpath_small_seeded_corpus_all_admissible(monkeypatch):
+    graphs = [octahedron()] + three_connected_four_regular(10, seed_start=400,
+                                                           count=10)
+    calls = []
+    real = tripm.admissible.is_k_connected
+    monkeypatch.setattr(tripm.admissible, "is_k_connected",
+                        lambda *args: calls.append(args) or real(*args))
+    for g in graphs:
+        assert_constructed(g, check(g), "ii")
+    assert calls == []  # check() tests no 3-connectivity on these graphs
 
 
 # ---------------------------------------------------------------------------
@@ -491,16 +515,6 @@ def test_check_falls_to_structural_when_the_construction_does_not_decide(
     assert v.evidence is None
     assert v.structural.clause == "even-2-factor"
     assert verify_structural(g, v.structural)["ok"]
-
-
-def test_fastpath_entry_falls_to_direct_when_the_construction_does_not_decide(
-        construction_undecided):
-    g = octahedron()
-    v = four_regular_fastpath(g)
-    assert v.status == ADMISSIBLE
-    assert v.structural is None
-    assert v.nodes > 0
-    assert verify_triple(g, v.triple)["ok"]
 
 
 def test_check_runs_the_direct_search_once(construction_undecided, monkeypatch):

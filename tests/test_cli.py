@@ -157,6 +157,26 @@ def test_verify_schema_break_is_an_error(tmp_path, capsys):
     assert run(capsys, ["verify", other, cpath])[0] == 4
 
 
+@pytest.mark.parametrize("command", ["check", "survey", "verify", "decompose"])
+def test_input_that_is_not_utf8_is_an_error(tmp_path, capsys, command):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe\x00bad")
+    argv = [command, str(bad)]
+    if command == "verify":
+        argv = [command, write(tmp_path, "p.g6", PETERSEN_G6), str(bad)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (4, "")
+    assert err.startswith("tripm: ") and "UTF-8" in err
+
+
+def test_verify_deeply_nested_json_is_an_error(tmp_path, capsys):
+    gpath = write(tmp_path, "p.g6", PETERSEN_G6)
+    deep = write(tmp_path, "deep.json", "[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, ["verify", gpath, deep])
+    assert (code, out) == (4, "")
+    assert err.startswith("tripm: ")
+
+
 @pytest.mark.parametrize("path, value", [
     (("chain_map", 0, 0), "x"),
     (("cycle_components",), [["x"]]),
