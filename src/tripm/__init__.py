@@ -14,7 +14,6 @@ from .certificates import (
     Verdict,
     certificate_from_json,
     certificate_to_json,
-    rebuild_skeleton_certificate,
     verify_certificate,
     verify_triple,
 )
@@ -49,8 +48,6 @@ from .matching import (
 from .skeleton import (
     SkeletonExtractionError,
     color_cubic_3,
-    extract_skeleton,
-    lift_triple,
     structural_witness,
     triple_from_structural,
     verify_structural,
@@ -87,12 +84,10 @@ __all__ = [
     "certificate_to_json",
     "check",
     "color_cubic_3",
-    "rebuild_skeleton_certificate",
     "connected_components",
     "count_perfect_matchings",
     "enumerate_perfect_matchings",
     "exposable_vertices",
-    "extract_skeleton",
     "factor_cycles",
     "find_even_2factor",
     "find_triple_direct",
@@ -104,7 +99,6 @@ __all__ = [
     "is_matching",
     "is_matching_covered",
     "is_perfect_matching",
-    "lift_triple",
     "make_graph",
     "matched_vertices",
     "max_matching",

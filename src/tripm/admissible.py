@@ -278,8 +278,17 @@ def check(g: Graph, budget=None) -> Verdict:
     exhaust before phase 2 can begin, while the direct search finds a
     triple in a few hundred nodes.  What is left then splits in halves, the
     structural search taking ``rest // 2`` and the direct search the rest.
+
+    A ``Budget`` passed in bounds the searches by what it has remaining and
+    is charged the verdict's ``nodes``.
     """
-    limit = as_budget(budget).limit
+    b = as_budget(budget)
+    verdict = _decide(g, b.remaining)
+    b.used += verdict.nodes
+    return verdict
+
+
+def _decide(g: Graph, limit: int | None) -> Verdict:
     covered, report = is_matching_covered(g)
     if not covered:
         reason = report["reason"]

@@ -52,14 +52,18 @@ class SkeletonCertificate:
     host edge ids in path order from ``branch_vertices[a]`` to
     ``branch_vertices[b]``.  The coloring, once present, assigns each
     skeleton edge one color in 1..3 so that the classes are three perfect
-    matchings of the skeleton.
+    matchings of the skeleton.  ``spanning`` is derived: the union of the
+    chains.
     """
 
-    spanning: frozenset[int]
     branch_vertices: tuple[int, ...]
     skeleton: Graph
     chain_map: tuple[tuple[int, ...], ...]
     coloring: tuple[int, ...] | None = None
+
+    @property
+    def spanning(self) -> frozenset[int]:
+        return frozenset(e for path in self.chain_map for e in path)
 
     def with_coloring(self, coloring) -> "SkeletonCertificate":
         return replace(self, coloring=tuple(coloring))
@@ -220,7 +224,7 @@ def _matching_from_json(g: Graph, obj, label: str) -> frozenset[int]:
     return frozenset(ids)
 
 
-def rebuild_skeleton_certificate(g: Graph, obj) -> StructuralCertificate:
+def _skeleton_from_json(g: Graph, obj) -> StructuralCertificate:
     """Decode the JSON form of a skeleton-type structural certificate."""
     spanning = _matching_from_json(g, obj.get("spanning"), "spanning")
     raw_cycles = _list(obj.get("cycle_components", []), "cycle_components")
@@ -255,13 +259,8 @@ def rebuild_skeleton_certificate(g: Graph, obj) -> StructuralCertificate:
                     f"coloring for skeleton edge {i} must be a single-color set")
             coloring_list.append(val[0])
         coloring = tuple(coloring_list)
-    sk = SkeletonCertificate(
-        spanning=frozenset(e for path in chain_map for e in path),
-        branch_vertices=branch,
-        skeleton=skel,
-        chain_map=chain_map,
-        coloring=coloring,
-    )
+    sk = SkeletonCertificate(branch_vertices=branch, skeleton=skel,
+                             chain_map=chain_map, coloring=coloring)
     return StructuralCertificate(spanning=spanning, cycle_components=cycles,
                                  skeleton_part=sk)
 
@@ -324,7 +323,7 @@ def certificate_from_json(g: Graph, obj):
         cycles = factor_cycles(g, factor) or []
         return StructuralCertificate(factor, tuple(tuple(c) for c in cycles), None)
     if kind == "skeleton":
-        return rebuild_skeleton_certificate(g, obj)
+        return _skeleton_from_json(g, obj)
     raise CertificateFormatError(f"unknown certificate type {kind!r}")
 
 

@@ -209,6 +209,17 @@ def bisubdivide(g: Graph, edge_id: int) -> Graph:
     return make_graph(g.n + 2, pairs)
 
 
+def bisubdivide_all(g: Graph) -> Graph:
+    """Replace every edge e = uv by the path u, n+2e, n+2e+1, v.  On a
+    cubic g the result is its own only spanning subgraph with degrees in
+    {2, 3}, and its skeleton is g."""
+    pairs = []
+    for e, (u, v) in enumerate(g.edges):
+        a, b = g.n + 2 * e, g.n + 2 * e + 1
+        pairs += [(u, a), (a, b), (b, v)]
+    return make_graph(g.n + 2 * g.m, pairs)
+
+
 NAMED = {
     "k4": k4,
     "k33": k33,

@@ -141,13 +141,13 @@ def exposable_vertices(g: Graph) -> frozenset[int]:
     return frozenset(d)
 
 
-def _mates_to_edges(g: Graph, match: list[int]) -> frozenset[int]:
-    # lowest edge id between each matched pair (parallel edges collapse)
+def _mates_to_edges(g: Graph, match: list[int], forbidden=frozenset()) -> frozenset[int]:
+    # lowest allowed edge id between each matched pair (parallel edges collapse)
     picked = set()
     for v in range(g.n):
         u = match[v]
         if u > v:
-            picked.add(min(g.edge_ids_between(v, u)))
+            picked.add(min(e for e in g.edge_ids_between(v, u) if e not in forbidden))
     return frozenset(picked)
 
 
@@ -197,27 +197,21 @@ def perfect_matching_with_forced(g: Graph, forced=(), forbidden=()) -> frozenset
         raise ValueError("forced and forbidden edge sets overlap")
     if not is_matching(g, forced):
         raise ValueError("forced edges do not form a matching")
+    # the graph without the forbidden edges and the forced edges' ends,
+    # which stay exposed in the maximum matching of what is left
     covered = matched_vertices(g, forced)
-    rest = [v for v in range(g.n) if v not in covered]
-    if len(rest) % 2:
+    if (g.n - len(covered)) % 2:
         return None
-    nbr_sets: list[set[int]] = [set() for _ in range(len(rest))]
-    pos = {v: i for i, v in enumerate(rest)}
+    nbr_sets: list[set[int]] = [set() for _ in range(g.n)]
     for e, (u, v) in enumerate(g.edges):
         if e in forbidden or u in covered or v in covered:
             continue
-        nbr_sets[pos[u]].add(pos[v])
-        nbr_sets[pos[v]].add(pos[u])
-    mates = _maximum_mates(len(rest), [sorted(s) for s in nbr_sets])
-    if any(m == -1 for m in mates):
+        nbr_sets[u].add(v)
+        nbr_sets[v].add(u)
+    mates = _maximum_mates(g.n, [sorted(s) for s in nbr_sets])
+    if any(m == -1 for v, m in enumerate(mates) if v not in covered):
         return None
-    picked = set(forced)
-    for i, j in enumerate(mates):
-        if j > i:
-            u, v = rest[i], rest[j]
-            ids = [e for e in g.edge_ids_between(u, v) if e not in forbidden]
-            picked.add(min(ids))
-    return frozenset(picked)
+    return forced | _mates_to_edges(g, mates, forbidden)
 
 
 def enumerate_perfect_matchings(g: Graph, budget=None) -> Iterator[frozenset[int]]:

@@ -27,9 +27,9 @@ from .twofactor import factor_cycles, find_even_2factor
 
 
 class SkeletonExtractionError(ValueError):
-    """Raised when an edge set is not a bisubdivision of a cubic graph;
-    ``reason`` is one of: not spanning, degree out of range, isolated
-    cycle component, even chain, loop chain."""
+    """Raised when an edge set does not split into cycles and a
+    bisubdivision of a cubic graph; ``reason`` is one of: degree out of
+    range, even chain, loop chain."""
 
     def __init__(self, reason: str, detail: str = ""):
         super().__init__(f"{reason}{': ' + detail if detail else ''}")
@@ -84,7 +84,7 @@ def _walk_chains(g: Graph, edge_set, sdeg):
     return chains, leftover
 
 
-def _skeleton_from_chains(g: Graph, edge_set, chains) -> SkeletonCertificate:
+def _skeleton_from_chains(chains) -> SkeletonCertificate:
     branch = sorted({c[0] for c in chains} | {c[1] for c in chains})
     idx = {v: i for i, v in enumerate(branch)}
     items = []
@@ -95,11 +95,9 @@ def _skeleton_from_chains(g: Graph, edge_set, chains) -> SkeletonCertificate:
             path = tuple(reversed(path))
         items.append(((a, b), path))
     items.sort(key=lambda it: it[0])  # stable: parallel chains keep discovery order
-    skel = Graph(len(branch), tuple(p for p, _ in items))
     return SkeletonCertificate(
-        spanning=frozenset(edge_set),
         branch_vertices=tuple(branch),
-        skeleton=skel,
+        skeleton=Graph(len(branch), tuple(p for p, _ in items)),
         chain_map=tuple(p for _, p in items),
     )
 
@@ -122,32 +120,7 @@ def structural_witness(g: Graph, edge_set) -> StructuralCertificate:
     chains, leftover = _walk_chains(g, edge_set, sdeg)
     return StructuralCertificate(
         edge_set, tuple(tuple(c) for c in factor_cycles(g, leftover)),
-        _skeleton_from_chains(g, edge_set - leftover, chains) if chains else None)
-
-
-def extract_skeleton(g: Graph, spanning) -> SkeletonCertificate:
-    """Bicontract ``spanning`` (an edge-id set touching every vertex with
-    degrees in {2, 3}) to its cubic skeleton.
-
-    Raises SkeletonExtractionError when the set is not such a witness: not
-    spanning, a component that is a bare cycle (isolated cycle component),
-    or any failure of structural_witness().
-    """
-    spanning = frozenset(spanning)
-    for e in spanning:
-        if not (0 <= e < g.m):
-            raise ValueError(f"edge id {e} out of range")
-    sdeg = _spanning_degrees(g, spanning)
-    if 0 in sdeg:
-        raise SkeletonExtractionError(
-            "not spanning", f"vertex {sdeg.index(0)} untouched")
-    cert = structural_witness(g, spanning)
-    if cert.cycle_components:
-        raise SkeletonExtractionError(
-            "isolated cycle component",
-            f"edges {sorted(e for c in cert.cycle_components for e in c)} "
-            "lie on no branch vertex chain")
-    return cert.skeleton_part
+        _skeleton_from_chains(chains) if chains else None)
 
 
 def color_cubic_3(h: Graph, budget=None) -> tuple[int, ...] | None:
@@ -197,16 +170,6 @@ def _lift_classes(sc: SkeletonCertificate) -> dict[int, set[int]]:
                 classes[o1].add(e)
                 classes[o2].add(e)
     return classes
-
-
-def lift_triple(g: Graph, sc: SkeletonCertificate) -> TripleCertificate:
-    """Lift a colored skeleton that spans all of g to a verified triple
-    covering exactly the spanning edge set."""
-    sdeg = _spanning_degrees(g, sc.spanning)
-    if any(d == 0 for d in sdeg):
-        raise ValueError("skeleton part does not span the graph; "
-                         "lift through its structural certificate instead")
-    return triple_from_structural(g, StructuralCertificate(sc.spanning, (), sc))
 
 
 def triple_from_structural(g: Graph, cert: StructuralCertificate) -> TripleCertificate:
@@ -285,9 +248,7 @@ def verify_structural(g: Graph, cert: StructuralCertificate) -> dict:
     sk = cert.skeleton_part
     chain_union: set[int] = set()
     if sk is not None:
-        chain_union = {e for path in sk.chain_map for e in path}
-        if sk.spanning != frozenset(chain_union):
-            violations.append("skeleton part spanning set disagrees with its chains")
+        chain_union = set(sk.spanning)
         expected_branch = tuple(sorted(
             v for v in range(g.n) if sdeg[v] == 3))
         if tuple(sk.branch_vertices) != expected_branch:

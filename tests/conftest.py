@@ -93,6 +93,37 @@ def random_cubic_corpus(count, seed_base):
             for i in range(count)]
 
 
+def flower(k):
+    """Isaacs flower snark J_k in the benchmark's numbering: star centre
+    a_i = 4i with leaves b_i = 4i+1, c_i = 4i+2, d_i = 4i+3, the cycle
+    b_0 .. b_{k-1}, and the 2k-cycle c_0 .. c_{k-1} d_0 .. d_{k-1}."""
+    pairs = []
+    for i in range(k):
+        a, b, c, d = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
+        pairs += [(a, b), (a, c), (a, d), (b, 4 * ((i + 1) % k) + 1)]
+        if i < k - 1:
+            pairs += [(c, c + 4), (d, d + 4)]
+    pairs += [(4 * (k - 1) + 2, 3), (4 * (k - 1) + 3, 2)]
+    return make_graph(4 * k, pairs)
+
+
+def petersen_with_triangles(vertices):
+    """Petersen with each of ``vertices`` replaced by a triangle: v keeps
+    its first edge and two new vertices take the other two.  Like Petersen,
+    the result has no 3-edge-coloring."""
+    g = gen.petersen()
+    pairs = list(g.edges)
+    n = g.n
+    for v in sorted(vertices):
+        _, e2, e3 = g.incident[v]
+        for e, w in ((e2, n), (e3, n + 1)):
+            x, y = pairs[e]
+            pairs[e] = (w, y) if x == v else (x, w)
+        pairs += [(v, n), (n, n + 1), (v, n + 1)]
+        n += 2
+    return make_graph(n, pairs)
+
+
 def three_connected_four_regular(n, seed_start, count):
     """Seeded 4-regular simple graphs filtered to 3-connected ones."""
     from tripm.graph import is_k_connected

@@ -3,7 +3,9 @@
 Everything here is deliberately naive and shares no code with the package
 beyond the Graph accessors: bitmask DP for maximum matchings, pair-partition
 recursion for perfect matchings, subset scans for 2-factors and vertex
-cuts.  Keep it slow and obviously correct.
+cuts.  Keep it slow and obviously correct.  The one exception is
+``relabelled_perfect_matching_with_forced``, a reference copy of an earlier
+version, which shares the blossom engine.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from tripm.graph import Graph
+from tripm.matching import _maximum_mates, is_matching, matched_vertices
 
 
 def brute_max_matching_size(g: Graph) -> int:
@@ -197,3 +200,36 @@ def brute_split_components(g: Graph, edge_set):
         else:
             cycles.append(frozenset(comp_edges))
     return cycles, frozenset(branch_edges)
+
+
+def relabelled_perfect_matching_with_forced(g: Graph, forced=(), forbidden=()):
+    """The earlier ``perfect_matching_with_forced``: relabel the vertices
+    the forced edges leave uncovered to 0 .. k-1, run the blossom engine on
+    that copy, and map its mates back to the lowest allowed edge ids."""
+    forced = frozenset(forced)
+    forbidden = frozenset(forbidden)
+    if forced & forbidden:
+        raise ValueError("forced and forbidden edge sets overlap")
+    if not is_matching(g, forced):
+        raise ValueError("forced edges do not form a matching")
+    covered = matched_vertices(g, forced)
+    rest = [v for v in range(g.n) if v not in covered]
+    if len(rest) % 2:
+        return None
+    nbr_sets: list[set[int]] = [set() for _ in range(len(rest))]
+    pos = {v: i for i, v in enumerate(rest)}
+    for e, (u, v) in enumerate(g.edges):
+        if e in forbidden or u in covered or v in covered:
+            continue
+        nbr_sets[pos[u]].add(pos[v])
+        nbr_sets[pos[v]].add(pos[u])
+    mates = _maximum_mates(len(rest), [sorted(s) for s in nbr_sets])
+    if any(m == -1 for m in mates):
+        return None
+    picked = set(forced)
+    for i, j in enumerate(mates):
+        if j > i:
+            u, v = rest[i], rest[j]
+            ids = [e for e in g.edge_ids_between(u, v) if e not in forbidden]
+            picked.add(min(ids))
+    return frozenset(picked)

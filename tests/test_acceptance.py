@@ -10,22 +10,23 @@ from pathlib import Path
 from tripm import (
     ADMISSIBLE,
     NOT_ADMISSIBLE,
+    StructuralCertificate,
     certificate_from_json,
     certificate_to_json,
     check,
     color_cubic_3,
     count_perfect_matchings,
-    extract_skeleton,
     factor_cycles,
     find_even_2factor,
     find_triple_direct,
     gallai_edmonds,
     is_factor_critical,
-    lift_triple,
     make_graph,
     max_matching_size,
     parse_graph6,
     structural_check,
+    structural_witness,
+    triple_from_structural,
     verify_certificate,
     verify_decomposition,
     verify_triple,
@@ -34,6 +35,7 @@ from tripm import (
 from tripm.cli import main as cli_main
 from tripm.generators import (
     bisubdivide,
+    bisubdivide_all,
     carvalho10,
     cube,
     double_wheel,
@@ -48,6 +50,7 @@ from tripm.generators import (
 )
 
 from conftest import (
+    flower,
     random_cubic_corpus,
     random_graph_corpus,
     sampled_matching_covered,
@@ -217,11 +220,12 @@ def test_lifting_soundness_on_seeded_bisubdivisions():
                 g = base
                 for _ in range(rng.randint(1, 4)):
                     g = bisubdivide(g, rng.randrange(g.m))
-                sc = extract_skeleton(g, range(g.m))
+                sc = structural_witness(g, range(g.m)).skeleton_part
                 assert sc.skeleton == base, name
                 coloring = color_cubic_3(sc.skeleton)
                 assert coloring is not None, name
-                cert = lift_triple(g, sc.with_coloring(coloring))
+                cert = triple_from_structural(g, StructuralCertificate(
+                    frozenset(range(g.m)), (), sc.with_coloring(coloring)))
                 assert verify_triple(g, cert)["ok"], name
                 assert cert.union() == frozenset(range(g.m)), name
         print("\n  100 seeded bisubdivisions (1-4 steps, seeds 7000..7003) "
@@ -240,6 +244,16 @@ def test_negative_results_by_exhaustion():
             assert verdict.status == NOT_ADMISSIBLE
             assert verdict.evidence is not None
             assert verdict.budget_report is None
+        # a full bisubdivision of a snark: its only spanning degree-{2, 3}
+        # subgraph is itself, whose skeleton, the snark, has no coloring
+        for name, h in (("petersen", petersen()), ("J5", flower(5)),
+                        ("J7", flower(7))):
+            verdict = check(bisubdivide_all(h), budget=None)
+            assert verdict.status == NOT_ADMISSIBLE, name
+            assert verdict.evidence["stage"] == "structural", name
+            assert verdict.budget_report is None, name
+        print("\n  K2 on all three routes; B(Petersen), B(J5) and B(J7), every "
+              "edge bisubdivided, through check()")
 
 
 def test_format_fidelity(named_suite, matching_covered_small):

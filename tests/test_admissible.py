@@ -31,6 +31,7 @@ from tripm.admissible import (
     _structural_candidate,
 )
 from tripm.generators import (
+    bisubdivide_all,
     k4,
     no_pm_cubic16,
     octahedron,
@@ -41,6 +42,7 @@ from tripm.generators import (
 from tripm.twofactor import search_spanning
 
 from conftest import (
+    flower,
     random_multigraph_corpus,
     sampled_matching_covered,
     three_connected_four_regular,
@@ -54,20 +56,6 @@ def c4():
 
 def digon():
     return make_graph(2, [(0, 1), (0, 1)])
-
-
-def flower(k):
-    """Isaacs flower snark J_k in the benchmark's numbering: star centre
-    a_i = 4i with leaves b_i = 4i+1, c_i = 4i+2, d_i = 4i+3, the cycle
-    b_0 .. b_{k-1}, and the 2k-cycle c_0 .. c_{k-1} d_0 .. d_{k-1}."""
-    pairs = []
-    for i in range(k):
-        a, b, c, d = 4 * i, 4 * i + 1, 4 * i + 2, 4 * i + 3
-        pairs += [(a, b), (a, c), (a, d), (b, 4 * ((i + 1) % k) + 1)]
-        if i < k - 1:
-            pairs += [(c, c + 4), (d, d + 4)]
-    pairs += [(4 * (k - 1) + 2, 3), (4 * (k - 1) + 3, 2)]
-    return make_graph(4 * k, pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +485,30 @@ def test_check_budget_splits_in_halves():
     assert v.status == UNKNOWN
     assert [s["stage"] for s in v.budget_report["stages"]] == ["structural", "direct"]
     assert [s["limit"] for s in v.budget_report["stages"]] == [5, 5]
+
+
+def test_check_charges_a_budget_it_is_given():
+    shared = Budget(None)
+    first = check(k4(), shared)
+    second = check(petersen(), shared)
+    assert first.nodes > 0 and second.nodes > 0
+    assert shared.used == first.nodes + second.nodes
+    # a partly spent budget bounds the searches by what it has left
+    assert check(k4(), Budget(100)).nodes == 7
+    partly = Budget(100, used=90)
+    v = check(k4(), partly)
+    assert [s["limit"] for s in v.budget_report["stages"]] == [5, 5]
+    assert partly.used == 90 + v.nodes
+
+
+def test_check_on_a_nearly_spent_budget_is_unknown():
+    for g in (make_graph(2, [(0, 1)]), petersen(), bisubdivide_all(petersen())):
+        assert check(g).definitive
+        for used in (99, 100, 150):
+            budget = Budget(100, used=used)
+            v = check(g, budget)
+            assert v.status == UNKNOWN
+            assert budget.used == used + v.nodes
 
 
 @pytest.fixture

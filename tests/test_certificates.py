@@ -17,15 +17,14 @@ from tripm import (
     certificate_from_json,
     certificate_to_json,
     check,
-    color_cubic_3,
-    extract_skeleton,
     make_graph,
     verify_certificate,
     verify_triple,
 )
 from tripm.generators import k4, petersen, wheel
 
-from test_skeleton import W5_SPANNING, mixed_certificate, mixed_host
+from test_skeleton import (
+    W5_SPANNING, mixed_certificate, mixed_host, wheel_skeleton_part)
 
 
 def k4_triple():
@@ -97,7 +96,7 @@ def test_even2factor_json_round_trip():
 
 def test_skeleton_json_round_trip_pure():
     g = wheel(5)
-    sk = extract_skeleton(g, W5_SPANNING).with_coloring(color_cubic_3(k4()))
+    sk = wheel_skeleton_part()
     cert = StructuralCertificate(W5_SPANNING, (), sk)
     blob = certificate_to_json(g, cert)
     assert blob["type"] == "skeleton"
@@ -255,7 +254,7 @@ def test_tampered_even2factor_decodes_then_fails_verification():
 
 def test_tampered_skeleton_chain_fails_verification():
     g = wheel(5)
-    sk = extract_skeleton(g, W5_SPANNING).with_coloring(color_cubic_3(k4()))
+    sk = wheel_skeleton_part()
     blob = certificate_to_json(g, StructuralCertificate(W5_SPANNING, (), sk))
     blob["chain_map"][1] = [1, 5, 7]  # edges exist but no longer walk a path
     cert = certificate_from_json(g, blob)

@@ -21,13 +21,14 @@ from tripm import (
     max_matching_size,
     perfect_matching_with_forced,
 )
-from tripm.generators import k4, k33, no_pm_cubic16, petersen, prism
+from tripm.generators import k4, k33, no_pm_cubic16, petersen, prism, random_regular
 
 from conftest import random_graph_corpus, random_multigraph_corpus
 from oracles import (
     brute_is_k_connected,
     brute_max_matching_size,
     brute_perfect_matchings,
+    relabelled_perfect_matching_with_forced,
 )
 
 
@@ -163,6 +164,39 @@ def test_forced_parallel_edge_is_honored():
     assert pm == frozenset({1})
     pm = perfect_matching_with_forced(g, forbidden=(0,))
     assert pm == frozenset({1})
+
+
+def random_constraints(g, rng):
+    """A random matching to force and a random set of other edges to
+    forbid, each edge drawn with a random probability."""
+    forced, seen = set(), set()
+    p_force, p_forbid = rng.random() * 0.3, rng.random() * 0.5
+    for e in rng.sample(range(g.m), g.m):
+        u, v = g.edges[e]
+        if u not in seen and v not in seen and rng.random() < p_force:
+            forced.add(e)
+            seen |= {u, v}
+    forbidden = {e for e in range(g.m)
+                 if e not in forced and rng.random() < p_forbid}
+    return forced, forbidden
+
+
+def test_forced_matching_equals_the_relabelling_version():
+    rng = random.Random(2024)
+    graphs = (random_multigraph_corpus(count=1500, seed=61)
+              + random_graph_corpus(count=1500, seed=62)
+              + [random_regular(3, 60, s) for s in range(10)]
+              + [random_regular(4, 40, s) for s in range(10)])
+    cases = found = 0
+    for g in graphs:
+        for _ in range(3 if g.n <= 10 else 100):
+            forced, forbidden = random_constraints(g, rng)
+            pm = perfect_matching_with_forced(g, forced, forbidden)
+            assert pm == relabelled_perfect_matching_with_forced(g, forced, forbidden)
+            cases += 1
+            found += pm is not None
+    assert cases >= 10_000
+    assert 0 < found < cases
 
 
 @pytest.mark.parametrize("g", [k4(), k33(), petersen(), prism()])

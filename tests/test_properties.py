@@ -7,7 +7,7 @@ same graphs.
 
 import json
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tripm import (
@@ -24,9 +24,18 @@ from tripm import (
     structural_check,
     verify_certificate,
 )
-from tripm.generators import bisubdivide, carvalho10, k33, petersen, prism
+from tripm.generators import (
+    bisubdivide,
+    bisubdivide_all,
+    carvalho10,
+    k33,
+    petersen,
+    prism,
+    random_regular,
+)
 
-from oracles import brute_perfect_matchings
+from conftest import petersen_with_triangles
+from oracles import brute_cubic_colorable, brute_perfect_matchings
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None,
                     max_examples=100)
@@ -112,3 +121,25 @@ def test_direct_and_structural_routes_agree(g):
     structural = structural_check(g)
     assert direct.status == structural.status
     assert direct.status in (ADMISSIBLE, NOT_ADMISSIBLE)
+
+
+@st.composite
+def matching_covered_cubic_graphs(draw):
+    """A random cubic graph on at most 12 vertices, or Petersen with one or
+    two vertices replaced by triangles, kept only if matching covered."""
+    if draw(st.booleans()):
+        h = random_regular(3, draw(st.sampled_from((4, 6, 8, 10, 12))),
+                           draw(st.integers(0, 10**6)))
+    else:
+        h = petersen_with_triangles(
+            draw(st.sets(st.integers(0, 9), min_size=1, max_size=2)))
+    assume(is_matching_covered(h)[0])
+    return h
+
+
+@PROPERTY
+@given(matching_covered_cubic_graphs())
+def test_full_bisubdivision_is_admissible_iff_colorable(h):
+    # B(H) is its own only spanning degree-{2, 3} subgraph, with skeleton H
+    expected = ADMISSIBLE if brute_cubic_colorable(h) else NOT_ADMISSIBLE
+    assert check(bisubdivide_all(h)).status == expected

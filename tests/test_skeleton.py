@@ -14,9 +14,7 @@ from tripm import (
     StructuralCertificate,
     check,
     color_cubic_3,
-    extract_skeleton,
     is_perfect_matching,
-    lift_triple,
     make_graph,
     structural_witness,
     triple_from_structural,
@@ -42,54 +40,53 @@ from oracles import brute_cubic_colorable, brute_split_components
 W5_SPANNING = frozenset(range(8))
 
 
-def test_extract_skeleton_of_wheel_spanning_set():
+def wheel_skeleton_part() -> SkeletonCertificate:
+    """The K4 skeleton of W5_SPANNING with K4's first coloring."""
+    sk = structural_witness(wheel(5), W5_SPANNING).skeleton_part
+    return sk.with_coloring(color_cubic_3(k4()))
+
+
+def test_structural_witness_of_wheel_spanning_set():
     g = wheel(5)
-    sc = extract_skeleton(g, W5_SPANNING)
+    sc = structural_witness(g, W5_SPANNING).skeleton_part
     assert sc.branch_vertices == (0, 1, 2, 5)
     assert sc.skeleton == k4()
     assert sc.chain_map == ((0,), (1, 7, 5), (2,), (3,), (4,), (6,))
     assert sorted(len(p) for p in sc.chain_map) == [1, 1, 1, 1, 1, 3]
+    assert sc.spanning == W5_SPANNING
     assert sc.coloring is None
 
 
-def test_extract_skeleton_inverts_bisubdivision():
+def test_structural_witness_inverts_bisubdivision():
     g = petersen()
     h = bisubdivide(g, 0)
-    sc = extract_skeleton(h, range(h.m))
+    sc = structural_witness(h, range(h.m)).skeleton_part
     assert sc.branch_vertices == tuple(range(10))
     assert sc.skeleton == g
 
 
-def test_extract_skeleton_not_spanning():
-    g = wheel(5)
-    rim = frozenset({0, 1, 3, 5, 7})  # hub untouched
-    with pytest.raises(SkeletonExtractionError) as info:
-        extract_skeleton(g, rim)
-    assert info.value.reason == "not spanning"
-
-
-def test_extract_skeleton_degree_out_of_range():
+def test_structural_witness_degree_out_of_range():
     g = wheel(5)
     with pytest.raises(SkeletonExtractionError) as info:
-        extract_skeleton(g, range(g.m))  # hub keeps degree 5
+        structural_witness(g, range(g.m))  # hub keeps degree 5
     assert info.value.reason == "degree out of range"
 
 
-def test_extract_skeleton_even_chain():
+def test_structural_witness_even_chain():
     # theta graph: a direct 0-1 edge plus a length-2 detour through 2,
     # with 3 appended to keep degrees in range
     g = make_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
     with pytest.raises(SkeletonExtractionError) as info:
-        extract_skeleton(g, range(g.m))
+        structural_witness(g, range(g.m))
     assert info.value.reason == "even chain"
 
 
-def test_extract_skeleton_loop_chain():
+def test_structural_witness_loop_chain():
     # triangle hanging off each of two bridge endpoints: the triangle at 0
     # walks 0-1-2-0 and closes on its own branch vertex
     g = make_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (3, 5), (4, 5)])
     with pytest.raises(SkeletonExtractionError) as info:
-        extract_skeleton(g, range(g.m))
+        structural_witness(g, range(g.m))
     assert info.value.reason == "loop chain"
 
 
@@ -99,13 +96,6 @@ def mixed_host():
                            (4, 5),
                            (4, 6), (6, 7), (5, 7),
                            (4, 8), (8, 9), (5, 9)])
-
-
-def test_extract_skeleton_rejects_isolated_cycle_component():
-    g = mixed_host()
-    with pytest.raises(SkeletonExtractionError) as info:
-        extract_skeleton(g, range(g.m))
-    assert info.value.reason == "isolated cycle component"
 
 
 def test_split_spanning_components():
@@ -204,10 +194,10 @@ def test_color_cubic_3_validation_and_budget():
         color_cubic_3(petersen(), budget=Budget(limit=10))
 
 
-def test_lift_triple_on_wheel_spanning_set():
+def test_triple_from_structural_on_wheel_spanning_set():
     g = wheel(5)
-    sc = extract_skeleton(g, W5_SPANNING).with_coloring(color_cubic_3(k4()))
-    cert = lift_triple(g, sc)
+    sc = wheel_skeleton_part()
+    cert = triple_from_structural(g, StructuralCertificate(W5_SPANNING, (), sc))
     assert cert.m1 == frozenset({0, 6, 7})
     assert cert.m2 == frozenset({1, 4, 5})
     assert cert.m3 == frozenset({2, 3, 7})
@@ -220,18 +210,8 @@ def test_lift_triple_on_wheel_spanning_set():
         assert is_perfect_matching(g, m)
 
 
-def test_lift_triple_needs_spanning_skeleton_part():
-    g = mixed_host()
-    sk = theta_skeleton_part()
-    assert structural_witness(g, range(g.m)).skeleton_part == replace(
-        sk, coloring=None)
-    with pytest.raises(ValueError, match="structural certificate"):
-        lift_triple(g, sk)
-
-
 def theta_skeleton_part() -> SkeletonCertificate:
     return SkeletonCertificate(
-        spanning=frozenset(range(4, 11)),
         branch_vertices=(4, 5),
         skeleton=Graph(2, ((0, 1), (0, 1), (0, 1))),
         chain_map=((4,), (5, 9, 7), (6, 10, 8)),
@@ -278,7 +258,6 @@ def test_verify_structural_flags_odd_cycle():
                        (3, 5), (5, 6), (4, 6),
                        (3, 7), (7, 8), (4, 8)])
     sk = SkeletonCertificate(
-        spanning=frozenset(range(3, 10)),
         branch_vertices=(3, 4),
         skeleton=Graph(2, ((0, 1), (0, 1), (0, 1))),
         chain_map=((3,), (4, 8, 6), (5, 9, 7)),
@@ -340,7 +319,6 @@ def test_verify_structural_accepts_pure_even_2factor():
 
 def test_verify_structural_accepts_pure_skeleton():
     g = wheel(5)
-    sc = extract_skeleton(g, W5_SPANNING).with_coloring(color_cubic_3(k4()))
-    cert = StructuralCertificate(W5_SPANNING, (), sc)
+    cert = StructuralCertificate(W5_SPANNING, (), wheel_skeleton_part())
     assert cert.clause == "skeleton"
     assert verify_structural(g, cert)["ok"]
