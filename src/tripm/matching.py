@@ -12,7 +12,7 @@ from collections import deque
 from typing import Iterator
 
 from .budget import as_budget
-from .graph import Graph, is_connected
+from .graph import Graph, is_connected, is_k_connected
 
 
 def _augment(nbr: list[list[int]], match: list[int], root: int,
@@ -273,15 +273,29 @@ def is_matching_covered(g: Graph) -> tuple[bool, dict]:
     it names the reason and, when an edge has no perfect matching through
     it, the lowest such edge id.
 
-    Costs one maximum matching M plus one augmenting search per edge whose
-    end pair no perfect matching found so far joins: uv, with M-partners
-    u' and v', lies in a perfect matching iff M - {uu', vv'} + {uv}
-    augments from u' in G - u - v.  Parallel edges share their end pair.
+    An r-regular graph of even order with r <= 3 that is (r-1)-edge-
+    connected is a yes by Plesnik's theorem (1972; Schonberger's for
+    bridgeless cubic graphs): it keeps a perfect matching after any r-1
+    edges are deleted, so deleting the other edges at one end of uv
+    leaves a perfect matching through uv.  That costs one traversal and
+    no matching: ``is_connected`` for r = 1, 2, and for r = 3 the
+    lowpoint DFS of ``is_k_connected(g, 2)``, since a bridge's end in a
+    cubic graph with n > 2 is a cut vertex.  Any other graph costs one
+    maximum matching M plus one augmenting search per edge whose end pair
+    no perfect matching found so far joins: uv, with M-partners u' and
+    v', lies in a perfect matching iff M - {uu', vv'} + {uv} augments
+    from u' in G - u - v.  Parallel edges share their end pair.
     """
     if g.n == 0 or g.n % 2:
         return False, {"reason": "odd or empty vertex set"}
+    r = g.degree(0)
+    low_regular = 0 < r <= 3 and g.is_regular(r)
+    if low_regular and r == 3 and is_k_connected(g, 2):
+        return True, {}
     if not is_connected(g):
         return False, {"reason": "not connected"}
+    if low_regular and r < 3:
+        return True, {}
     if g.m == 0:
         return False, {"reason": "no edges"}
     nbr = [sorted(s) for s in g.neighbor_sets]

@@ -87,6 +87,54 @@ def random_multigraph_corpus(count, seed, max_n=10):
     return out
 
 
+def _regular_pieces(rng, r, cut, max_n):
+    """(n, edge pairs) of a random r-regular multigraph on at most max_n
+    vertices, or None when the draw cannot be paired without a loop.
+
+    With ``cut`` > 0 it is two pieces, 0 .. a-1 and a .. n-1: the cut takes
+    that many stubs from each side and every other stub is paired within
+    its side, so the cut edges are the only ones between them.
+    """
+    n = rng.randint(2 if cut else 1, max_n)
+    bounds = [0, rng.randint(1, n - 1), n] if cut else [0, n]
+    pairs = []
+    ends = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        stubs = [v for v in range(lo, hi) for _ in range(r)]
+        rng.shuffle(stubs)
+        rest = stubs[cut:]
+        if len(stubs) < cut or len(rest) % 2:
+            return None
+        ends.append(stubs[:cut])
+        pairs += zip(rest[::2], rest[1::2])
+    if any(u == v for u, v in pairs):
+        return None
+    return n, pairs + list(zip(*ends))
+
+
+def random_regular_multigraph_corpus(count, seed, max_n=12):
+    """Seeded loopless r-regular multigraphs, r in 1..4 in turn, on at most
+    max_n vertices, relabelled at random.
+
+    Every other graph of each degree is two pieces joined across a cut of
+    one or two edges (two when r is even, which a one-edge cut cannot be).
+    """
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        r = len(out) % 4 + 1
+        cut = 0
+        if len(out) // 4 % 2:
+            cut = rng.choice((1, 2)) if r % 2 else 2
+        drawn = None
+        while drawn is None:
+            drawn = _regular_pieces(rng, r, cut, max_n)
+        n, pairs = drawn
+        label = rng.sample(range(n), n)
+        out.append(make_graph(n, [(label[u], label[v]) for u, v in pairs]))
+    return out
+
+
 def random_cubic_corpus(count, seed_base):
     sizes = (6, 8, 10, 12, 14, 16)
     return [gen.random_regular(3, sizes[i % len(sizes)], seed_base + i)

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import tripm.matching
 from tripm import (
     Budget,
     BudgetExhausted,
@@ -12,6 +13,7 @@ from tripm import (
     exposable_vertices,
     is_connected,
     is_factor_critical,
+    is_k_connected,
     is_matching,
     is_matching_covered,
     is_perfect_matching,
@@ -23,7 +25,12 @@ from tripm import (
 )
 from tripm.generators import k4, k33, no_pm_cubic16, petersen, prism, random_regular
 
-from conftest import random_graph_corpus, random_multigraph_corpus
+from conftest import (
+    flower,
+    random_graph_corpus,
+    random_multigraph_corpus,
+    random_regular_multigraph_corpus,
+)
 from oracles import (
     brute_is_k_connected,
     brute_max_matching_size,
@@ -199,6 +206,22 @@ def test_forced_matching_equals_the_relabelling_version():
     assert 0 < found < cases
 
 
+def ladder(n, twist):
+    """Prism (two n/2-cycles joined by rungs) or, with ``twist``, the
+    Moebius ladder (an n-cycle with its n/2 long diagonals)."""
+    h = n // 2
+    if twist:
+        return make_graph(n, [(i, (i + 1) % n) for i in range(n)]
+                          + [(i, i + h) for i in range(h)])
+    return make_graph(n, [(i, (i + 1) % h) for i in range(h)]
+                      + [(h + i, h + (i + 1) % h) for i in range(h)]
+                      + [(i, h + i) for i in range(h)])
+
+
+def cycle(n):
+    return make_graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
 @pytest.mark.parametrize("g", [k4(), k33(), petersen(), prism()])
 def test_classic_graphs_are_matching_covered(g):
     ok, report = is_matching_covered(g)
@@ -212,11 +235,12 @@ def test_classic_graphs_are_matching_covered(g):
     (make_graph(4, [(0, 1), (2, 3)]), "not connected"),
     (make_graph(2, []), "not connected"),
     (no_pm_cubic16(), "no perfect matching"),
+    (cycle(7), "odd or empty vertex set"),
+    (make_graph(12, list(prism().edges) + [(u + 6, v + 6) for u, v in prism().edges]),
+     "not connected"),
 ])
 def test_not_matching_covered_reasons(g, reason):
-    ok, report = is_matching_covered(g)
-    assert not ok
-    assert report["reason"] == reason
+    assert is_matching_covered(g) == (False, {"reason": reason})
 
 
 def test_edge_in_no_perfect_matching_is_named():
@@ -254,6 +278,67 @@ def test_matching_covered_gate_agrees_with_bruteforce_on_multigraphs():
         reasons.add(expected[1])
     assert reasons == {None, "odd or empty vertex set", "not connected",
                        "no perfect matching", "edge in no perfect matching"}
+
+
+def test_matching_covered_gate_agrees_with_bruteforce_on_regular_multigraphs():
+    outcomes = {r: set() for r in range(1, 5)}
+    for g in random_regular_multigraph_corpus(4000, seed=17):
+        r = g.degree(0)
+        assert g.is_regular(r)
+        ok, report = is_matching_covered(g)
+        expected = brute_gate(g)
+        assert (ok, report.get("reason"), report.get("edge")) == expected, g
+        outcomes[r].add(ok)
+    assert outcomes[2] == outcomes[3] == {True, False}
+
+
+class MatchingSearched(Exception):
+    pass
+
+
+def refuse_matching_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise MatchingSearched
+    monkeypatch.setattr(tripm.matching, "_maximum_mates", refuse)
+    monkeypatch.setattr(tripm.matching, "_augment", refuse)
+
+
+@pytest.mark.parametrize("g", [petersen(), flower(5), ladder(400, False),
+                               ladder(400, True), cycle(2000)])
+def test_regular_yes_case_runs_no_matching(monkeypatch, g):
+    refuse_matching_search(monkeypatch)
+    assert is_matching_covered(g) == (True, {})
+
+
+def test_four_regular_graphs_still_search(monkeypatch):
+    refuse_matching_search(monkeypatch)
+    with pytest.raises(MatchingSearched):
+        is_matching_covered(random_regular(4, 20, 0))
+
+
+def test_cubic_graph_with_a_bridge_names_the_bruteforce_edge():
+    # two copies of K4 with one edge subdivided, the subdivision vertices
+    # joined by a bridge: both sides are odd, so the bridge is in every
+    # perfect matching and the edges beside it are in none
+    side = [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3), (0, 4), (3, 4)]
+    g = make_graph(10, side + [(u + 5, v + 5) for u, v in side] + [(4, 9)])
+    assert g.is_regular(3) and not is_k_connected(g, 2)
+    ok, report = is_matching_covered(g)
+    assert (ok, report["reason"], report["edge"]) == brute_gate(g)
+    assert report["reason"] == "edge in no perfect matching"
+
+
+def test_theta_is_matching_covered_through_the_search(monkeypatch):
+    theta = make_graph(2, [(0, 1)] * 3)
+    calls = []
+    real = tripm.matching._maximum_mates
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+    monkeypatch.setattr(tripm.matching, "_maximum_mates", spy)
+    assert is_matching_covered(theta) == (True, {})
+    assert len(calls) == 1
 
 
 def test_factor_critical():
