@@ -11,10 +11,10 @@ plus the graph is enough to re-verify from scratch.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from .graph import Graph
 from .formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
-from .matching import is_matching, matched_vertices
 from .twofactor import factor_cycles
 
 ADMISSIBLE = "admissible"
@@ -123,19 +123,28 @@ def verify_triple(g: Graph, cert: TripleCertificate) -> dict:
 
     Never raises; returns {"ok": bool, "violations": [str, ...]} where each
     violation names the failed condition and the offending ids.
+
+    Each matching costs one pass that marks the vertices it covers; ids
+    are scanned for range only when the smallest or largest is out of it.
     """
     violations: list[str] = []
+    n, edges = g.n, g.edges
     for name, m in zip(("m1", "m2", "m3"), cert.matchings):
-        bad = sorted(e for e in m if not (0 <= e < g.m))
-        if bad:
+        if m and (min(m) < 0 or max(m) >= g.m):
+            bad = sorted(e for e in m if not (0 <= e < g.m))
             violations.append(f"{name}: edge ids out of range: {bad}")
             continue
-        if not is_matching(g, m):
-            violations.append(f"{name}: edges {sorted(m)} are not a matching")
-            continue
-        missed = sorted(set(range(g.n)) - matched_vertices(g, m))
-        if missed:
-            violations.append(f"{name}: not perfect, misses vertices {missed}")
+        covered = bytearray(n)
+        for e in m:
+            u, v = edges[e]
+            if covered[u] or covered[v]:
+                violations.append(f"{name}: edges {sorted(m)} are not a matching")
+                break
+            covered[u] = covered[v] = 1
+        else:
+            if 2 * len(m) != n:
+                missed = [v for v in range(n) if not covered[v]]
+                violations.append(f"{name}: not perfect, misses vertices {missed}")
     common = cert.m1 & cert.m2 & cert.m3
     if common:
         violations.append(f"triple intersection not empty: edges {sorted(common)}")
@@ -147,9 +156,17 @@ def verify_triple(g: Graph, cert: TripleCertificate) -> dict:
 
 
 def _graph_echo(g: Graph) -> dict:
+    fmt, data = _encoded_echo(g)
+    return {"format": fmt, "data": data}
+
+
+@lru_cache(maxsize=1)
+def _encoded_echo(g: Graph) -> tuple[str, str]:
+    """The echo's format and text, kept for the last graph encoded: a
+    verdict's triple and structural certificates embed the same echo."""
     if g.is_simple() and g.n <= 62:
-        return {"format": "graph6", "data": write_graph6(g)}
-    return {"format": "edgelist", "data": write_edge_list(g)}
+        return "graph6", write_graph6(g)
+    return "edgelist", write_edge_list(g)
 
 
 def _echo_to_graph(obj) -> Graph:
@@ -192,7 +209,9 @@ def _edge_ids(g: Graph, obj, label: str) -> tuple[int, ...]:
 
 def _matching_to_json(g: Graph, m) -> dict:
     ids = sorted(m)
-    return {"edges": sorted([list(g.edges[e]) for e in ids]), "edge_ids": ids}
+    edges = g.edges
+    # edge ids follow endpoint-pair order, so the pairs come out sorted too
+    return {"edges": [list(edges[e]) for e in ids], "edge_ids": ids}
 
 
 def _matching_from_json(g: Graph, obj, label: str) -> frozenset[int]:

@@ -60,8 +60,10 @@ def _read_text(path: str) -> str:
 
 def _parse_graph(text: str, fmt: str | None) -> Graph:
     if fmt is None:
-        # edge-list lines contain whitespace, graph6 strings never do
-        content = next((ln for ln in text.splitlines() if ln.strip()), "")
+        # edge-list lines contain whitespace, graph6 strings never do; no
+        # graph6 string starts with '#', so comment lines are skipped
+        content = next((ln for ln in map(str.strip, text.splitlines())
+                        if ln and ln[0] != "#"), "")
         fmt = "edgelist" if len(content.split()) > 1 else "graph6"
     if fmt == "graph6":
         return parse_graph6(text)
@@ -178,6 +180,8 @@ def _structural_status(g: Graph, budget: int, verdict: Verdict) -> str:
 
 def cmd_survey(args) -> int:
     budget = _resolve_budget(args)
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
     items = [(i, ln.strip()) for i, ln in
              enumerate(_read_text(args.input).splitlines(), start=1)
              if ln.strip()]
@@ -289,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="per-graph node budget")
     p.add_argument("--jobs", type=int, default=None,
-                   help="worker processes (default: all cores)")
+                   help="worker processes, at least 1 (default: all cores)")
     p.add_argument("--cross-validate", action="store_true",
                    help="also run direct and structural checks separately "
                         "and record agreement")

@@ -72,9 +72,11 @@ def write_graph6(g: Graph) -> str:
 
 
 def parse_edge_list(text: str) -> Graph:
-    lines = text.splitlines()
-    stripped = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
-    stripped = [(no, ln) for no, ln in stripped if ln and not ln.startswith("#")]
+    stripped = []  # (line number, text) of the lines that are not comments
+    for no, ln in enumerate(text.splitlines(), start=1):
+        ln = ln.strip()
+        if ln and ln[0] != "#":
+            stripped.append((no, ln))
     if not stripped:
         raise GraphFormatError("line 1: missing 'n m' header")
     no, header = stripped[0]
@@ -92,13 +94,11 @@ def parse_edge_list(text: str) -> Graph:
         raise GraphFormatError(f"line {no}: header promises {m} edges, found {len(body)}")
     pairs = []
     for no, ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"line {no}: edge line must be 'u v'")
         try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphFormatError(f"line {no}: edge line must be two integers") from None
+            u, v = map(int, ln.split())
+        except ValueError:  # a wrong field count or a field that is no integer
+            shape = "'u v'" if len(ln.split()) != 2 else "two integers"
+            raise GraphFormatError(f"line {no}: edge line must be {shape}") from None
         if u == v:
             raise GraphFormatError(f"line {no}: loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):

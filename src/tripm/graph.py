@@ -51,7 +51,7 @@ class Graph:
         for e, (u, v) in enumerate(self.edges):
             adj[u].append((v, e))
             adj[v].append((u, e))
-        return tuple(tuple(a) for a in adj)
+        return tuple(map(tuple, adj))
 
     @cached_property
     def incident(self) -> tuple[tuple[int, ...], ...]:
@@ -66,7 +66,7 @@ class Graph:
         return len(self.adjacency[v])
 
     def degrees(self) -> tuple[int, ...]:
-        return tuple(len(a) for a in self.adjacency)
+        return tuple(map(len, self.adjacency))
 
     def endpoints(self, e: int) -> tuple[int, int]:
         return self.edges[e]
@@ -93,7 +93,7 @@ class Graph:
         return len(set(self.edges)) == self.m
 
     def is_regular(self, k: int) -> bool:
-        return all(d == k for d in self.degrees())
+        return self.degrees().count(k) == self.n
 
     def spanning_subgraph(self, edge_ids) -> tuple["Graph", tuple[int, ...]]:
         """Subgraph on all n vertices keeping only ``edge_ids``.
@@ -139,43 +139,43 @@ def make_graph(n: int, pairs) -> Graph:
         if u == v:
             raise ValueError(f"loop at vertex {u}")
         norm.append((u, v) if u < v else (v, u))
-    norm.sort(key=lambda p: (p[0], p[1]))
+    norm.sort()  # equal pairs are equal tuples, so this is the stable order
     return Graph(n, tuple(norm))
 
 
 def connected_components(g: Graph, vertices=None, edge_ids=None) -> list[list[int]]:
     """Components as sorted vertex lists, ordered by smallest vertex.
 
-    Restricted to ``vertices`` and/or ``edge_ids`` when given.
+    Restricted to ``vertices`` and/or ``edge_ids`` when given.  Vertices
+    are marked in a bytearray; a vertex outside ``vertices`` starts marked,
+    so the search never enters it.
     """
     if vertices is None:
         vs = range(g.n)
+        seen = bytearray(g.n)
     else:
         vs = sorted(set(vertices))
-    allowed_v = set(vs)
-    if edge_ids is not None:
-        allowed_e = set(edge_ids)
-    else:
-        allowed_e = None
-    seen: set[int] = set()
+        seen = bytearray(b"\x01") * g.n
+        for v in vs:
+            seen[v] = 0
+    allowed_e = None if edge_ids is None else set(edge_ids)
+    adjacency = g.adjacency
     comps: list[list[int]] = []
     for s in vs:
-        if s in seen:
+        if seen[s]:
             continue
         comp = [s]
-        seen.add(s)
+        seen[s] = 1
         stack = [s]
         while stack:
-            v = stack.pop()
-            for w, e in g.adjacency[v]:
-                if w not in allowed_v or w in seen:
+            for w, e in adjacency[stack.pop()]:
+                if seen[w] or (allowed_e is not None and e not in allowed_e):
                     continue
-                if allowed_e is not None and e not in allowed_e:
-                    continue
-                seen.add(w)
+                seen[w] = 1
                 comp.append(w)
                 stack.append(w)
-        comps.append(sorted(comp))
+        comp.sort()
+        comps.append(comp)
     return comps
 
 

@@ -15,6 +15,8 @@ every certificate becomes a triple through one lift,
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from .budget import as_budget
 from .certificates import (
     SkeletonCertificate,
@@ -38,8 +40,9 @@ class SkeletonExtractionError(ValueError):
 
 def _spanning_degrees(g: Graph, edge_set) -> list[int]:
     deg = [0] * g.n
+    edges = g.edges
     for e in edge_set:
-        u, v = g.edges[e]
+        u, v = edges[e]
         deg[u] += 1
         deg[v] += 1
     return deg
@@ -48,9 +51,10 @@ def _spanning_degrees(g: Graph, edge_set) -> list[int]:
 def _walk_chains(g: Graph, edge_set, sdeg):
     """Walk all branch-to-branch chains.  Returns (chains, leftover) where
     chains are (bu, bv, edge_path) in discovery order and
-    leftover is the set of edges on no chain (pure cycle components)."""
+    leftover is the set of edges on no chain (pure cycle components); with
+    no branch vertex that is ``edge_set`` itself."""
     if 3 not in sdeg:
-        return [], set(edge_set)
+        return [], edge_set
     inc: dict[int, list[int]] = {}
     for e in sorted(edge_set):
         u, v = g.edges[e]
@@ -80,8 +84,7 @@ def _walk_chains(g: Graph, edge_set, sdeg):
                     f"chain {bv}..{cur} has even length {len(path)}")
             visited.update(path)
             chains.append((bv, cur, tuple(path)))
-    leftover = set(edge_set) - visited
-    return chains, leftover
+    return chains, edge_set - visited
 
 
 def _skeleton_from_chains(chains) -> SkeletonCertificate:
@@ -113,10 +116,10 @@ def structural_witness(g: Graph, edge_set) -> StructuralCertificate:
     """
     edge_set = frozenset(edge_set)
     sdeg = _spanning_degrees(g, edge_set)
-    for v, d in enumerate(sdeg):
-        if d not in (0, 2, 3):
-            raise SkeletonExtractionError(
-                "degree out of range", f"vertex {v} has degree {d}")
+    if 1 in sdeg or max(sdeg, default=0) > 3:
+        v, d = next((v, d) for v, d in enumerate(sdeg) if d not in (0, 2, 3))
+        raise SkeletonExtractionError(
+            "degree out of range", f"vertex {v} has degree {d}")
     chains, leftover = _walk_chains(g, edge_set, sdeg)
     return StructuralCertificate(
         edge_set, tuple(tuple(c) for c in factor_cycles(g, leftover)),
@@ -147,7 +150,7 @@ def color_cubic_3(h: Graph, budget=None) -> tuple[int, ...] | None:
     return tuple(colors)
 
 
-def _lift_classes(sc: SkeletonCertificate) -> dict[int, set[int]]:
+def _lift_classes(sc: SkeletonCertificate) -> dict[int, list[int]]:
     """Expand each colored skeleton edge along its chain.
 
     A chain whose skeleton edge has color c alternates: edges at even
@@ -157,42 +160,39 @@ def _lift_classes(sc: SkeletonCertificate) -> dict[int, set[int]]:
     """
     if sc.coloring is None:
         raise ValueError("skeleton certificate has no coloring")
-    classes: dict[int, set[int]] = {1: set(), 2: set(), 3: set()}
+    classes: dict[int, list[int]] = {1: [], 2: [], 3: []}
     for i, path in enumerate(sc.chain_map):
         c = sc.coloring[i]
         if c not in (1, 2, 3):
             raise ValueError(f"skeleton edge {i} has invalid color {c!r}")
         o1, o2 = (x for x in (1, 2, 3) if x != c)
-        for k, e in enumerate(path):
-            if k % 2 == 0:
-                classes[c].add(e)
-            else:
-                classes[o1].add(e)
-                classes[o2].add(e)
+        classes[c].extend(path[0::2])
+        classes[o1].extend(path[1::2])
+        classes[o2].extend(path[1::2])
     return classes
 
 
 def triple_from_structural(g: Graph, cert: StructuralCertificate) -> TripleCertificate:
     """Lift a full structural certificate: skeleton chains by their
-    coloring, even cycle components by alternation with M3 = M2."""
-    classes: dict[int, set[int]] = {1: set(), 2: set(), 3: set()}
-    if cert.skeleton_part is not None:
-        for c, edges in _lift_classes(cert.skeleton_part).items():
-            classes[c] |= edges
-    cycle_union = [e for comp in cert.cycle_components for e in comp]
-    if cycle_union:
-        cycles = factor_cycles(g, cycle_union)
-        if cycles is None:
-            raise ValueError("cycle components are not disjoint cycles")
-        for cyc in cycles:
-            if len(cyc) % 2:
-                raise ValueError("odd cycle component in structural certificate")
-            for k, e in enumerate(cyc):
-                if k % 2 == 0:
-                    classes[1].add(e)
-                else:
-                    classes[2].add(e)
-                    classes[3].add(e)
+    coloring, even cycle components by alternation with M3 = M2.
+
+    Each cycle component is alternated as given, so it must list its edges
+    in traversal order, as ``structural_witness`` and the even-2-factor
+    decoder give them; nothing traces the cycles again.  A component in
+    any other order lifts to classes that are not perfect matchings, and
+    the lift raises ValueError, since every lifted triple must pass
+    ``verify_triple`` and cover the spanning set exactly.  The skeleton
+    JSON stores components sorted, so ``verify_structural`` lifts along
+    the cycles its own ``factor_cycles`` call derives.
+    """
+    sk = cert.skeleton_part
+    classes = _lift_classes(sk) if sk is not None else {1: [], 2: [], 3: []}
+    for cyc in cert.cycle_components:
+        if len(cyc) % 2:
+            raise ValueError("odd cycle component in structural certificate")
+        classes[1].extend(cyc[0::2])
+        classes[2].extend(cyc[1::2])
+        classes[3].extend(cyc[1::2])
     out = TripleCertificate(frozenset(classes[1]), frozenset(classes[2]),
                             frozenset(classes[3]))
     report = verify_triple(g, out)
@@ -224,6 +224,7 @@ def verify_structural(g: Graph, cert: StructuralCertificate) -> dict:
     if violations:
         return {"ok": False, "violations": violations}
 
+    cycles = None
     cycle_union: set[int] = set()
     for comp in cert.cycle_components:
         comp_set = set(comp)
@@ -307,7 +308,9 @@ def verify_structural(g: Graph, cert: StructuralCertificate) -> dict:
 
     if not violations:
         try:
-            triple_from_structural(g, cert)
+            # the derived cycles, in traversal order, stand for the given ones
+            triple_from_structural(g, replace(cert, cycle_components=tuple(
+                tuple(c) for c in cycles or ())))
         except ValueError as exc:
             violations.append(str(exc))
     return {"ok": not violations, "violations": violations}

@@ -21,31 +21,43 @@ def factor_cycles(g: Graph, edge_ids) -> list[list[int]] | None:
     traversal order.  Cycles are ordered by their smallest vertex; each
     starts at that vertex along its lowest-id incident factor edge.  Returns
     None if some touched vertex does not have degree exactly 2 in the set.
+
+    The result depends on the set of ids alone, not on their order or
+    repetitions: each vertex keeps its two edges in two arrays, and a
+    cycle starts along the smaller of the two.
     """
-    ids = sorted(set(edge_ids))
-    inc: dict[int, list[int]] = {}
+    ids = edge_ids if isinstance(edge_ids, (set, frozenset)) else set(edge_ids)
+    n, edges = g.n, g.edges
+    first = [-1] * n
+    second = [-1] * n
     for e in ids:
-        u, v = g.edges[e]
-        inc.setdefault(u, []).append(e)
-        inc.setdefault(v, []).append(e)
-    if any(len(es) != 2 for es in inc.values()):
+        for x in edges[e]:
+            if first[x] < 0:
+                first[x] = e
+            elif second[x] < 0:
+                second[x] = e
+            else:
+                return None
+    if first.count(-1) != second.count(-1):  # some vertex has one edge
         return None
-    seen: set[int] = set()
+    seen = bytearray(n)
     cycles: list[list[int]] = []
-    for start in sorted(inc):
-        if start in seen:
+    for start in range(n):
+        a, b = first[start], second[start]
+        if a < 0 or seen[start]:
             continue
-        e = min(inc[start])
+        e = a if a < b else b
         cycle = []
         v = start
         while True:
-            seen.add(v)
+            seen[v] = 1
             cycle.append(e)
-            v = g.other(e, v)
+            x, y = edges[e]
+            v = y if v == x else x
             if v == start:
                 break
-            a, b = inc[v]
-            e = b if a == e else a
+            a = first[v]
+            e = second[v] if a == e else a
         cycles.append(cycle)
     return cycles
 

@@ -3,15 +3,19 @@
 Everything here is deliberately naive and shares no code with the package
 beyond the Graph accessors: bitmask DP for maximum matchings, pair-partition
 recursion for perfect matchings, subset scans for 2-factors and vertex
-cuts.  Keep it slow and obviously correct.  The one exception is
-``relabelled_perfect_matching_with_forced``, a reference copy of an earlier
-version, which shares the blossom engine.
+cuts.  Keep it slow and obviously correct.  The exceptions are reference
+copies of earlier versions of package functions, kept to show that a faster
+version answers the same: ``relabelled_perfect_matching_with_forced``, which
+shares the blossom engine, and the set-based ``set_factor_cycles``,
+``set_verify_triple``, ``resorting_matching_to_json`` and
+``rederiving_triple_from_structural``.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
 
+from tripm.certificates import TripleCertificate
 from tripm.graph import Graph
 from tripm.matching import _maximum_mates, is_matching, matched_vertices
 
@@ -233,3 +237,101 @@ def relabelled_perfect_matching_with_forced(g: Graph, forced=(), forbidden=()):
             ids = [e for e in g.edge_ids_between(u, v) if e not in forbidden]
             picked.add(min(ids))
     return frozenset(picked)
+
+
+def set_factor_cycles(g: Graph, edge_ids):
+    """The earlier ``factor_cycles``: sort the distinct ids, list each
+    vertex's edges in a dict, and walk each cycle from its smallest vertex
+    along its lowest-id edge; None unless every touched vertex has degree 2."""
+    ids = sorted(set(edge_ids))
+    inc: dict[int, list[int]] = {}
+    for e in ids:
+        u, v = g.edges[e]
+        inc.setdefault(u, []).append(e)
+        inc.setdefault(v, []).append(e)
+    if any(len(es) != 2 for es in inc.values()):
+        return None
+    seen: set[int] = set()
+    cycles: list[list[int]] = []
+    for start in sorted(inc):
+        if start in seen:
+            continue
+        e = min(inc[start])
+        cycle = []
+        v = start
+        while True:
+            seen.add(v)
+            cycle.append(e)
+            v = g.other(e, v)
+            if v == start:
+                break
+            a, b = inc[v]
+            e = b if a == e else a
+        cycles.append(cycle)
+    return cycles
+
+
+def set_verify_triple(g: Graph, cert) -> dict:
+    """The earlier ``verify_triple``: per matching, a range scan of every
+    id, then ``is_matching``, then the uncovered vertices by set difference."""
+    violations: list[str] = []
+    for name, m in zip(("m1", "m2", "m3"), cert.matchings):
+        bad = sorted(e for e in m if not (0 <= e < g.m))
+        if bad:
+            violations.append(f"{name}: edge ids out of range: {bad}")
+            continue
+        if not is_matching(g, m):
+            violations.append(f"{name}: edges {sorted(m)} are not a matching")
+            continue
+        missed = sorted(set(range(g.n)) - matched_vertices(g, m))
+        if missed:
+            violations.append(f"{name}: not perfect, misses vertices {missed}")
+    common = cert.m1 & cert.m2 & cert.m3
+    if common:
+        violations.append(f"triple intersection not empty: edges {sorted(common)}")
+    return {"ok": not violations, "violations": violations}
+
+
+def resorting_matching_to_json(g: Graph, m) -> dict:
+    """The earlier matching encoder, which sorted the endpoint pairs again."""
+    ids = sorted(m)
+    return {"edges": sorted([list(g.edges[e]) for e in ids]), "edge_ids": ids}
+
+
+def rederiving_triple_from_structural(g: Graph, cert):
+    """The earlier lift: chains expanded by their colour,
+    and the cycles traced again from the union of the cycle components, so
+    the order in which a component lists its edges does not matter.  Raises
+    ValueError where the earlier lift did."""
+    classes: dict[int, set[int]] = {1: set(), 2: set(), 3: set()}
+    sk = cert.skeleton_part
+    if sk is not None:
+        if sk.coloring is None:
+            raise ValueError("skeleton certificate has no coloring")
+        for i, path in enumerate(sk.chain_map):
+            c = sk.coloring[i]
+            if c not in (1, 2, 3):
+                raise ValueError(f"skeleton edge {i} has invalid color {c!r}")
+            others = tuple(x for x in (1, 2, 3) if x != c)
+            for k, e in enumerate(path):
+                for o in ((c,) if k % 2 == 0 else others):
+                    classes[o].add(e)
+    union = [e for comp in cert.cycle_components for e in comp]
+    if union:
+        cycles = set_factor_cycles(g, union)
+        if cycles is None:
+            raise ValueError("cycle components are not disjoint cycles")
+        for cyc in cycles:
+            if len(cyc) % 2:
+                raise ValueError("odd cycle component in structural certificate")
+            for k, e in enumerate(cyc):
+                for c in ((1,) if k % 2 == 0 else (2, 3)):
+                    classes[c].add(e)
+    out = TripleCertificate(frozenset(classes[1]), frozenset(classes[2]),
+                            frozenset(classes[3]))
+    report = set_verify_triple(g, out)
+    if not report["ok"]:
+        raise ValueError(f"structural lift failed: {report['violations']}")
+    if out.union() != cert.spanning:
+        raise ValueError("structural lift does not cover the spanning set exactly")
+    return out

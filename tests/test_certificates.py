@@ -1,8 +1,13 @@
 """Certificate objects, the verifiers, and the JSON round trip."""
 
 import json
+import random
+from collections import Counter
+from dataclasses import replace
 
 import pytest
+
+import tripm.certificates
 
 from tripm import (
     ADMISSIBLE,
@@ -10,6 +15,7 @@ from tripm import (
     NOT_ADMISSIBLE,
     UNKNOWN,
     CertificateFormatError,
+    Graph,
     GraphFormatError,
     StructuralCertificate,
     TripleCertificate,
@@ -17,12 +23,17 @@ from tripm import (
     certificate_from_json,
     certificate_to_json,
     check,
+    color_cubic_3,
     make_graph,
+    structural_witness,
     verify_certificate,
     verify_triple,
 )
 from tripm.generators import k4, petersen, wheel
 
+from conftest import random_multigraph_corpus
+from oracles import (
+    brute_perfect_matchings, resorting_matching_to_json, set_verify_triple)
 from test_skeleton import (
     W5_SPANNING, mixed_certificate, mixed_host, wheel_skeleton_part)
 
@@ -57,6 +68,80 @@ def test_verify_triple_flags_missed_vertices():
     rep = verify_triple(g, TripleCertificate(frozenset({0}), frozenset({0, 1}),
                                              frozenset({1})))
     assert any("misses vertices [2, 3]" in v for v in rep["violations"])
+
+
+def seeded_triples(count, seed):
+    """Seeded (graph, triple) pairs over random multigraphs and the empty
+    graph.  A matching is a perfect matching or a random edge subset,
+    sometimes with an id out of range; now and then m3 repeats m1, so the
+    common intersection is not empty."""
+    rng = random.Random(seed)
+    graphs = [Graph(0, ())] + random_multigraph_corpus(300, seed)
+    pms = [brute_perfect_matchings(g) for g in graphs]
+    for i in range(count):
+        g, perfect = graphs[i % len(graphs)], pms[i % len(graphs)]
+
+        def pick():
+            if perfect and rng.random() < 0.6:
+                m = set(rng.choice(perfect))
+            else:
+                m = set(rng.sample(range(g.m), rng.randint(0, g.m)))
+            if rng.random() < 0.1:
+                m.add(rng.choice((-2, -1, g.m, g.m + 5)))
+            return frozenset(m)
+
+        m1, m2 = pick(), pick()
+        yield g, TripleCertificate(m1, m2, m1 if rng.random() < 0.2 else pick())
+
+
+def test_verify_triple_matches_the_set_based_reference():
+    """Same report, violation strings included, as the earlier verifier
+    that scanned every id for range and covered vertices with sets."""
+    kinds = Counter()
+    for g, cert in seeded_triples(2400, seed=1913):
+        report = verify_triple(g, cert)
+        assert report == set_verify_triple(g, cert), (g, cert)
+        kinds["ok" if report["ok"] else "bad"] += 1
+        kinds["empty graph"] += g.n == 0
+        for v in report["violations"]:
+            kinds[next(k for k in ("out of range", "not a matching", "not perfect",
+                                   "intersection not empty") if k in v)] += 1
+    assert len(kinds) == 7 and min(kinds.values()) >= 5, kinds
+
+
+def test_matching_pairs_need_no_second_sort_on_multigraphs(monkeypatch):
+    """Edge-id order is endpoint-pair order, so the encoder's pairs come
+    out sorted: every certificate of check() on multigraphs with parallel
+    edges encodes byte for byte as under the earlier re-sorting encoder."""
+    certs = []
+    for g in random_multigraph_corpus(300, seed=1917):
+        v = check(g)
+        if v.status == ADMISSIBLE and not g.is_simple():
+            certs += [(g, c) for c in (v.triple, v.structural) if c is not None]
+    # a theta, alone and beside a digon: skeleton certificates whose chains
+    # and cycle are parallel edges
+    for g in (make_graph(2, [(0, 1)] * 3), make_graph(4, [(0, 1)] * 3 + [(2, 3)] * 2)):
+        cert = structural_witness(g, range(g.m))
+        sk = cert.skeleton_part
+        certs.append((g, replace(cert, skeleton_part=sk.with_coloring(
+            color_cubic_3(sk.skeleton)))))
+    kinds = Counter(certificate_to_json(g, c)["type"] for g, c in certs)
+    assert set(kinds) == {"triple", "even2factor", "skeleton"}, kinds
+    encoded = [json.dumps(certificate_to_json(g, c)) for g, c in certs]
+    monkeypatch.setattr(tripm.certificates, "_matching_to_json",
+                        resorting_matching_to_json)
+    assert encoded == [json.dumps(certificate_to_json(g, c)) for g, c in certs]
+
+
+def test_graph_echo_is_a_fresh_object_per_certificate():
+    # the echo's text is kept for the last graph; the dicts are not shared
+    g = petersen()
+    first = certificate_to_json(g, check(g).triple)
+    first["graph"]["data"] = "tampered"
+    again = certificate_to_json(g, check(g).triple)
+    assert again["graph"] == {"format": "graph6", "data": "IheA@GUAo"}
+    other = certificate_to_json(k4(), k4_triple())
+    assert other["graph"] == {"format": "graph6", "data": "C~"}
 
 
 def test_verdict_guards():

@@ -85,6 +85,20 @@ def test_check_edgelist_sniffing_and_format_override(tmp_path, capsys):
     assert "tripm:" in err
 
 
+@pytest.mark.parametrize("comment", ["#cubic", "# cubic", "", "#"])
+def test_edgelist_sniffing_skips_comment_lines(tmp_path, capsys, comment):
+    # no graph6 string starts with '#', so the sniffer looks past comments
+    text = f"{comment}\n\n" + write_edge_list(k4())
+    path = write(tmp_path, "k4.el", text)
+    cpath = str(tmp_path / "cert.json")
+    code, out, err = run(capsys, ["check", path, "--cert-out", cpath])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdict"] == "admissible"
+    code, out, err = run(capsys, ["verify", path, cpath])
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"ok": True, "violations": []}
+
+
 def test_budget_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "p.g6", PETERSEN_G6)
     monkeypatch.setenv("TRIPM_BUDGET", "7")
@@ -110,6 +124,14 @@ def test_negative_budget_is_a_usage_error(tmp_path, capsys, monkeypatch, command
     code, out, err = run(capsys, [command, path])
     assert (code, out) == (4, "")
     assert err.startswith("tripm: ") and "-3" in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_survey_jobs_below_one_is_a_usage_error(tmp_path, capsys, jobs):
+    path = write(tmp_path, "p.g6", PETERSEN_G6 + "\n")
+    code, out, err = run(capsys, ["survey", path, "--jobs", jobs])
+    assert (code, out) == (4, "")
+    assert err.startswith("tripm: ") and "--jobs" in err and jobs in err
 
 
 def test_cert_out_then_verify_round_trip(tmp_path, capsys):

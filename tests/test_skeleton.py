@@ -1,17 +1,22 @@
 """Bicontraction to cubic skeletons, 3-edge-coloring, and lifting."""
 
+import json
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from tripm import (
+    ADMISSIBLE,
     Budget,
     BudgetExhausted,
     Graph,
     SkeletonCertificate,
     SkeletonExtractionError,
     StructuralCertificate,
+    certificate_from_json,
+    certificate_to_json,
     check,
     color_cubic_3,
     is_perfect_matching,
@@ -21,18 +26,25 @@ from tripm import (
     verify_structural,
     verify_triple,
 )
+from tripm.certificates import verify_certificate
 from tripm.generators import (
     bisubdivide,
+    cube,
     k4,
     k33,
     octahedron,
     petersen,
+    prism,
     random_regular,
     wheel,
 )
 
 from conftest import random_cubic_corpus
-from oracles import brute_cubic_colorable, brute_split_components
+from oracles import (
+    brute_cubic_colorable,
+    brute_split_components,
+    rederiving_triple_from_structural,
+)
 
 
 # wheel on 5 rim vertices: rim + three consecutive spokes is a spanning
@@ -322,3 +334,86 @@ def test_verify_structural_accepts_pure_skeleton():
     cert = StructuralCertificate(W5_SPANNING, (), wheel_skeleton_part())
     assert cert.clause == "skeleton"
     assert verify_structural(g, cert)["ok"]
+
+
+def ladder(n, twist):
+    """The large-sparse benchmark's ladders on n vertices: the prism (two
+    n/2-cycles and their rungs) or, with ``twist``, the Moebius ladder
+    (an n-cycle and its n/2 diagonals)."""
+    h = n // 2
+    if twist:
+        return make_graph(n, [(i, (i + 1) % n) for i in range(n)]
+                          + [(i, i + h) for i in range(h)])
+    return make_graph(n, [(i, (i + 1) % h) for i in range(h)]
+                      + [(h + i, h + (i + 1) % h) for i in range(h)]
+                      + [(i, h + i) for i in range(h)])
+
+
+def lift_or_error(lift, g, cert):
+    try:
+        return lift(g, cert)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_lift_along_given_cycles_equals_the_rederiving_reference():
+    """The lift alternates each cycle component as given; the earlier lift
+    traced the cycles again from their union.  Inside check() and after
+    structural_witness both give the same triple, or the same error."""
+    graphs = []
+    for bi, base in enumerate((k4(), k33(), prism(), cube(), petersen())):
+        rng = random.Random(1900 + bi)
+        for _ in range(12):
+            g = base
+            for _ in range(rng.randint(1, 4)):
+                g = bisubdivide(g, rng.randrange(g.m))
+            graphs.append(g)
+    for n in range(6, 41, 2):
+        graphs += [ladder(n, False), ladder(n, True),
+                   make_graph(n, [(i, (i + 1) % n) for i in range(n)])]
+    clauses = Counter()
+    for g in graphs:
+        v = check(g)
+        assert v.status == ADMISSIBLE, g
+        if v.structural is not None:
+            assert v.triple == rederiving_triple_from_structural(g, v.structural), g
+            clauses[v.structural.clause] += 1
+    lifted = 0
+    for g, edge_set in degree_23_edge_sets(count=300, seed=1901):
+        cert = structural_witness(g, edge_set)
+        sk = cert.skeleton_part
+        coloring = color_cubic_3(sk.skeleton) if sk is not None else None
+        if coloring is not None:
+            cert = replace(cert, skeleton_part=sk.with_coloring(coloring))
+        elif sk is not None:
+            continue
+        got = lift_or_error(triple_from_structural, g, cert)
+        assert got == lift_or_error(rederiving_triple_from_structural, g, cert)
+        lifted += not isinstance(got, str)
+        clauses[cert.clause] += 1
+    assert min(clauses.values()) >= 20 and len(clauses) == 3, clauses
+    assert lifted >= 50
+
+
+def test_lift_needs_cycle_components_in_traversal_order():
+    """A component listed in sorted, non-walk order does not alternate
+    into matchings, so the lift raises; verify_structural traces the
+    cycles itself, and the skeleton JSON stores components sorted anyway."""
+    # a 6-cycle on 0 .. 5 beside a theta on 6, 7 with chains of length 1, 3, 3
+    g = make_graph(12, [(i, (i + 1) % 6) for i in range(6)]
+                   + [(6, 7), (6, 8), (8, 9), (7, 9), (6, 10), (10, 11), (7, 11)])
+    cert = structural_witness(g, range(g.m))
+    sk = cert.skeleton_part
+    cert = replace(cert, skeleton_part=sk.with_coloring(color_cubic_3(sk.skeleton)))
+    assert cert.cycle_components == ((0, 2, 3, 4, 5, 1),)
+    assert verify_triple(g, triple_from_structural(g, cert))["ok"]
+    unordered = replace(cert, cycle_components=((0, 1, 2, 3, 4, 5),))
+    assert unordered.clause == "mixed"
+    with pytest.raises(ValueError, match="structural lift failed"):
+        triple_from_structural(g, unordered)
+    assert verify_structural(g, unordered) == {"ok": True, "violations": []}
+    blob = certificate_to_json(g, unordered)
+    assert blob == certificate_to_json(g, cert)
+    decoded = certificate_from_json(g, json.loads(json.dumps(blob)))
+    assert decoded.cycle_components == ((0, 1, 2, 3, 4, 5),)
+    assert verify_certificate(g, decoded) == {"ok": True, "violations": []}

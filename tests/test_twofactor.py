@@ -1,5 +1,7 @@
 """Even 2-factor search, cycle decomposition, alternation."""
 
+import random
+
 import pytest
 
 from tripm import (
@@ -15,8 +17,8 @@ from tripm import (
 )
 from tripm.generators import NAMED, k4, petersen
 
-from conftest import sampled_matching_covered
-from oracles import brute_has_even_2factor, cycle_lengths
+from conftest import random_multigraph_corpus, sampled_matching_covered
+from oracles import brute_has_even_2factor, cycle_lengths, set_factor_cycles
 
 
 def c6():
@@ -45,6 +47,46 @@ def test_factor_cycles_rejects_wrong_degrees():
     g = k4()
     assert factor_cycles(g, [0, 1]) is None  # vertex 0 has degree 2 but 1,2 degree 1
     assert factor_cycles(g, [0]) is None
+
+
+def cycle_union_edge_sets(count, seed):
+    """Seeded (host, edge set) pairs: disjoint cycles of length 2 to 7
+    (digons are parallel pairs) under a random relabelling, in a host with
+    a few extra edges, some of which parallel a cycle edge."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n, members = 0, []
+        for _ in range(rng.randint(1, 4)):
+            k = rng.randint(2, 7)
+            members += [(n + i, n + (i + 1) % k) for i in range(k)]
+            n += k
+        perm = rng.sample(range(n), n)
+        items = [((perm[u], perm[v]), True) for u, v in members]
+        items += [(tuple(rng.sample(range(n), 2)), False)
+                  for _ in range(rng.randint(0, 3))]
+        items += [(p, False) for p, _ in rng.sample(items, rng.randint(0, 2))]
+        items = sorted(((min(p), max(p)), member) for p, member in items)
+        g = make_graph(n, [p for p, _ in items])
+        yield g, frozenset(e for e, (_, member) in enumerate(items) if member)
+
+
+def test_factor_cycles_matches_the_set_based_reference():
+    """The array-based decomposition gives the set-based one's cycles,
+    or None where it does, for a list with repeats, a set and a frozenset
+    of the same ids."""
+    rng = random.Random(4711)
+    cases = list(cycle_union_edge_sets(400, seed=4712))
+    for g in random_multigraph_corpus(400, seed=4713):
+        cases.append((g, frozenset(rng.sample(range(g.m), rng.randint(0, g.m)))))
+    decomposed = 0
+    for g, ids in cases:
+        want = set_factor_cycles(g, ids)
+        repeats = list(ids) + rng.sample(sorted(ids), rng.randint(0, len(ids)))
+        rng.shuffle(repeats)
+        for given in (repeats, set(ids), frozenset(ids)):
+            assert factor_cycles(g, given) == want, (g, given)
+        decomposed += want is not None
+    assert 400 <= decomposed < len(cases)
 
 
 def test_find_even_2factor_on_cycle_and_k4():
