@@ -95,7 +95,8 @@ def parse_edge_list(text: str) -> Graph:
     pairs = []
     for no, ln in body:
         try:
-            u, v = map(int, ln.split())
+            a, b = ln.split()
+            u, v = int(a), int(b)
         except ValueError:  # a wrong field count or a field that is no integer
             shape = "'u v'" if len(ln.split()) != 2 else "two integers"
             raise GraphFormatError(f"line {no}: edge line must be {shape}") from None

@@ -30,15 +30,17 @@ class Graph:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueError("vertex count must be >= 0")
+        n = self.n
         prev = (-1, -1)
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
-            if not (0 <= u < v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-            if (u, v) < prev:
+        for pair in self.edges:
+            u, v = pair
+            if not (0 <= u < v < n):
+                if u == v:
+                    raise ValueError(f"loop at vertex {u}")
+                raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+            if pair < prev:
                 raise ValueError("edge list not canonically sorted")
-            prev = (u, v)
+            prev = pair
 
     @property
     def m(self) -> int:

@@ -6,9 +6,9 @@ recursion for perfect matchings, subset scans for 2-factors and vertex
 cuts.  Keep it slow and obviously correct.  The exceptions are reference
 copies of earlier versions of package functions, kept to show that a faster
 version answers the same: ``relabelled_perfect_matching_with_forced``, which
-shares the blossom engine, and the set-based ``set_factor_cycles``,
+shares the blossom engine, the set-based ``set_factor_cycles``,
 ``set_verify_triple``, ``resorting_matching_to_json`` and
-``rederiving_triple_from_structural``.
+``rederiving_triple_from_structural``, and ``two_pass_parse_edge_list``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from tripm.certificates import TripleCertificate
-from tripm.graph import Graph
+from tripm.formats import GraphFormatError
+from tripm.graph import Graph, make_graph
 from tripm.matching import _maximum_mates, is_matching, matched_vertices
 
 
@@ -335,3 +336,42 @@ def rederiving_triple_from_structural(g: Graph, cert):
     if out.union() != cert.spanning:
         raise ValueError("structural lift does not cover the spanning set exactly")
     return out
+
+
+def two_pass_parse_edge_list(text: str) -> Graph:
+    """The earlier ``parse_edge_list``: strip every line, then filter out
+    blanks and comments, then check each edge line's field count before
+    converting its fields."""
+    lines = text.splitlines()
+    stripped = [(i + 1, ln.strip()) for i, ln in enumerate(lines)]
+    stripped = [(no, ln) for no, ln in stripped if ln and not ln.startswith("#")]
+    if not stripped:
+        raise GraphFormatError("line 1: missing 'n m' header")
+    no, header = stripped[0]
+    parts = header.split()
+    if len(parts) != 2:
+        raise GraphFormatError(f"line {no}: header must be 'n m'")
+    try:
+        n, m = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise GraphFormatError(f"line {no}: header must be two integers") from None
+    if n < 0 or m < 0:
+        raise GraphFormatError(f"line {no}: negative count in header")
+    body = stripped[1:]
+    if len(body) != m:
+        raise GraphFormatError(f"line {no}: header promises {m} edges, found {len(body)}")
+    pairs = []
+    for no, ln in body:
+        parts = ln.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"line {no}: edge line must be 'u v'")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise GraphFormatError(f"line {no}: edge line must be two integers") from None
+        if u == v:
+            raise GraphFormatError(f"line {no}: loop at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphFormatError(f"line {no}: endpoint out of range for n={n}")
+        pairs.append((u, v))
+    return make_graph(n, pairs)

@@ -22,6 +22,8 @@ from tripm import (
 )
 from tripm.generators import petersen, wheel
 
+from oracles import two_pass_parse_edge_list
+
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 max_examples=200)
 
@@ -50,6 +52,22 @@ def test_parse_edge_list_raises_only_format_errors(text):
     except GraphFormatError:
         return
     assert parse_edge_list(write_edge_list(g)) == g
+
+
+def outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphFormatError as exc:
+        return f"GraphFormatError: {exc}"
+
+
+@FUZZ
+@given(st.lists(st.lists(TOKENS, max_size=3).map(" ".join)
+                | st.sampled_from(["", "#cubic", "# c", "  "]), max_size=7)
+       .map("\n".join))
+def test_parse_edge_list_matches_the_two_pass_reference(text):
+    # same graph, or the same error with the same message and line
+    assert outcome(parse_edge_list, text) == outcome(two_pass_parse_edge_list, text)
 
 
 JSON_LEAVES = (st.none() | st.booleans() | st.integers(-12, 120)

@@ -51,6 +51,21 @@ def test_constructor_validation():
         Graph(3, ((1, 0),))  # u < v violated
 
 
+@pytest.mark.parametrize("n, edges, message", [
+    (3, ((1, 1),), "loop at vertex 1"),
+    (2, ((5, 5),), "loop at vertex 5"),
+    (2, ((0, 2),), "edge (0, 2) out of range for n=2"),
+    (3, ((1, 0),), "edge (1, 0) out of range for n=3"),
+    (3, ((-1, 1),), "edge (-1, 1) out of range for n=3"),
+    (3, ((1, 2), (0, 1)), "edge list not canonically sorted"),
+    (3, ((0, 1), (0, 2), (0, 1)), "edge list not canonically sorted"),
+])
+def test_constructor_error_messages(n, edges, message):
+    with pytest.raises(ValueError) as info:
+        Graph(n, edges)
+    assert str(info.value) == message
+
+
 def test_adjacency_and_incident():
     g = make_graph(4, [(0, 1), (0, 2), (1, 2), (1, 2)])
     assert g.adjacency[1] == ((0, 0), (2, 2), (2, 3))
