@@ -182,9 +182,10 @@ def cmd_survey(args) -> int:
     budget = _resolve_budget(args)
     if args.jobs is not None and args.jobs < 1:
         raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    items = [(i, ln.strip()) for i, ln in
-             enumerate(_read_text(args.input).splitlines(), start=1)
-             if ln.strip()]
+    # blank and '#' comment lines are skipped but keep their line numbers
+    lines = map(str.strip, _read_text(args.input).splitlines())
+    items = [(i, ln) for i, ln in enumerate(lines, start=1)
+             if ln and ln[0] != "#"]
     worker = functools.partial(_survey_one, budget=budget,
                                cross=args.cross_validate)
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)

@@ -2,7 +2,8 @@
 
 graph6 support is the header-less single-byte form (n <= 62), one graph per
 line.  Multigraphs cannot be expressed in graph6 and must use the edge-list
-format: a header line ``n m`` followed by m lines ``u v``.
+format: a header line ``n m`` followed by m lines ``u v``.  Both parsers
+skip lines that start with ``#``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,9 @@ class GraphFormatError(ValueError):
 
 
 def parse_graph6(text: str) -> Graph:
+    if "#" in text:  # outside the graph6 range: text without one skips this
+        text = "\n".join(ln for ln in text.splitlines()
+                         if not ln.lstrip().startswith("#"))
     s = text.strip()
     if not s:
         raise GraphFormatError("empty graph6 string")

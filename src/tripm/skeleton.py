@@ -10,11 +10,12 @@ chain has odd length, which is what the lifting rules below rely on.
 Every spanning edge set becomes a certificate through one split,
 ``structural_witness`` (pure cycles plus the skeleton of the rest), and
 every certificate becomes a triple through one lift,
-``triple_from_structural``.
+``triple_from_structural``; ``verify_structural`` runs the two again.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import replace
 
 from .budget import as_budget
@@ -160,6 +161,8 @@ def _lift_classes(sc: SkeletonCertificate) -> dict[int, list[int]]:
     """
     if sc.coloring is None:
         raise ValueError("skeleton certificate has no coloring")
+    if len(sc.coloring) != len(sc.chain_map):
+        raise ValueError("coloring length differs from skeleton size")
     classes: dict[int, list[int]] = {1: [], 2: [], 3: []}
     for i, path in enumerate(sc.chain_map):
         c = sc.coloring[i]
@@ -182,8 +185,8 @@ def triple_from_structural(g: Graph, cert: StructuralCertificate) -> TripleCerti
     any other order lifts to classes that are not perfect matchings, and
     the lift raises ValueError, since every lifted triple must pass
     ``verify_triple`` and cover the spanning set exactly.  The skeleton
-    JSON stores components sorted, so ``verify_structural`` lifts along
-    the cycles its own ``factor_cycles`` call derives.
+    JSON stores components sorted; ``verify_structural`` re-derives the
+    split with ``structural_witness`` and lifts along the derived cycles.
     """
     sk = cert.skeleton_part
     classes = _lift_classes(sk) if sk is not None else {1: [], 2: [], 3: []}
@@ -206,131 +209,51 @@ def triple_from_structural(g: Graph, cert: StructuralCertificate) -> TripleCerti
 def verify_structural(g: Graph, cert: StructuralCertificate) -> dict:
     """Full check of a structural certificate; never raises.
 
-    Validates the spanning degrees, the even cycle components, the chain
-    map against the skeleton, the coloring, and finally that the witness
-    lifts to a verifying triple covering the spanning set.
+    A spanning set splits into cycles, branch vertices and chains in one
+    way only, so the check re-derives that split with
+    ``structural_witness`` and compares it with the certificate's: cycle
+    components and (skeleton edge, chain) pairs as multisets, in any
+    order, branch vertices and skeleton order exactly.  It then lifts
+    along the derived cycles; ``triple_from_structural`` verifies the
+    triple and its union, which rejects a bad coloring, an odd cycle and
+    an untouched vertex.
     """
-    violations: list[str] = []
     bad = sorted(e for e in cert.spanning if not (0 <= e < g.m))
     if bad:
         return {"ok": False, "violations": [f"spanning edge ids out of range: {bad}"]}
-
-    sdeg = _spanning_degrees(g, cert.spanning)
-    for v in range(g.n):
-        if sdeg[v] == 0:
-            violations.append(f"not spanning: vertex {v} untouched")
-        elif sdeg[v] not in (2, 3):
-            violations.append(f"vertex {v} has spanning degree {sdeg[v]}")
-    if violations:
-        return {"ok": False, "violations": violations}
-
-    cycles = None
-    cycle_union: set[int] = set()
-    for comp in cert.cycle_components:
-        comp_set = set(comp)
-        if comp_set & cycle_union:
-            violations.append("cycle components overlap")
-        cycle_union |= comp_set
-    if cycle_union - cert.spanning:
-        violations.append("cycle component edges outside the spanning set")
-    elif cycle_union:
-        cycles = factor_cycles(g, cycle_union)
-        if cycles is None:
-            violations.append("cycle components are not disjoint cycles")
-        else:
-            for cyc in cycles:
-                if len(cyc) % 2:
-                    violations.append(f"odd cycle component: edges {sorted(cyc)}")
-            derived = {frozenset(c) for c in cycles}
-            given = {frozenset(c) for c in cert.cycle_components}
-            if derived != given:
-                violations.append("cycle component list does not match the edge set")
-
-    sk = cert.skeleton_part
-    chain_union: set[int] = set()
-    if sk is not None:
-        chain_union = set(sk.spanning)
-        expected_branch = tuple(sorted(
-            v for v in range(g.n) if sdeg[v] == 3))
-        if tuple(sk.branch_vertices) != expected_branch:
+    try:
+        derived = structural_witness(g, cert.spanning)
+    except SkeletonExtractionError as exc:
+        return {"ok": False, "violations": [f"spanning set does not split: {exc}"]}
+    violations: list[str] = []
+    if _cycle_multiset(cert) != _cycle_multiset(derived):
+        violations.append("cycle components differ from the cycles of the spanning set")
+    sk, dsk = cert.skeleton_part, derived.skeleton_part
+    if (sk is None) != (dsk is None):
+        violations.append("skeleton part differs from the branch part of the spanning set")
+    elif sk is not None:
+        if tuple(sk.branch_vertices) != dsk.branch_vertices:
             violations.append(
                 f"branch vertices {list(sk.branch_vertices)} differ from the "
-                f"degree-3 vertices {list(expected_branch)}")
-        if sk.skeleton.n != len(sk.branch_vertices):
-            violations.append("skeleton order differs from branch vertex count")
-        if not sk.skeleton.is_regular(3):
-            violations.append("skeleton is not cubic")
-        if len(sk.chain_map) != sk.skeleton.m:
-            violations.append("chain map length differs from skeleton size")
-        else:
-            seen_internal: set[int] = set()
-            for i, path in enumerate(sk.chain_map):
-                a, b = sk.skeleton.edges[i]  # a < b: Graph orders endpoints
-                if b >= len(sk.branch_vertices):
-                    violations.append(
-                        f"chain {i}: skeleton vertex {b} has no branch vertex")
-                    continue
-                ok_walk, end, internal = _walk_path(
-                    g, sk.branch_vertices[a], path)
-                if not ok_walk:
-                    violations.append(f"chain {i} is not a path")
-                    continue
-                if end != sk.branch_vertices[b]:
-                    violations.append(
-                        f"chain {i} ends at {end}, skeleton expects "
-                        f"{sk.branch_vertices[b]}")
-                if len(path) % 2 == 0:
-                    violations.append(f"chain {i} has even length {len(path)}")
-                for w in internal:
-                    if sdeg[w] != 2:
-                        violations.append(
-                            f"chain {i} passes through branch vertex {w}")
-                    if w in seen_internal:
-                        violations.append(
-                            f"vertex {w} is internal to two chains")
-                    seen_internal.add(w)
-        if sk.coloring is None:
-            violations.append("skeleton coloring missing")
-        else:
-            if len(sk.coloring) != sk.skeleton.m:
-                violations.append("coloring length differs from skeleton size")
-            else:
-                for v in range(sk.skeleton.n):
-                    cs = [sk.coloring[e] for e in sk.skeleton.incident[v]]
-                    if sorted(cs) != [1, 2, 3]:
-                        violations.append(
-                            f"skeleton vertex {v} sees colors {cs}, not 1, 2, 3")
-
-    if chain_union & cycle_union:
-        violations.append("chain edges and cycle edges overlap")
-    if chain_union | cycle_union != set(cert.spanning):
-        violations.append("chains and cycles do not partition the spanning set")
-
+                f"degree-3 vertices {list(dsk.branch_vertices)}")
+        if sk.skeleton.n != dsk.skeleton.n:
+            violations.append("skeleton order differs from the degree-3 vertex count")
+        if (len(sk.chain_map) != sk.skeleton.m
+                or _chain_multiset(sk) != _chain_multiset(dsk)):
+            violations.append("skeleton chains differ from the chains of the spanning set")
     if not violations:
         try:
             # the derived cycles, in traversal order, stand for the given ones
-            triple_from_structural(g, replace(cert, cycle_components=tuple(
-                tuple(c) for c in cycles or ())))
+            triple_from_structural(
+                g, replace(cert, cycle_components=derived.cycle_components))
         except ValueError as exc:
             violations.append(str(exc))
     return {"ok": not violations, "violations": violations}
 
 
-def _walk_path(g: Graph, start: int, path):
-    """Follow edge ids from ``start``; returns (ok, end, internal vertices)."""
-    cur = start
-    internal = []
-    for e in path:
-        if not (0 <= e < g.m):
-            return False, cur, internal
-        u, v = g.edges[e]
-        if cur == u:
-            cur = v
-        elif cur == v:
-            cur = u
-        else:
-            return False, cur, internal
-        internal.append(cur)
-    if internal:
-        internal.pop()  # last vertex is the far endpoint, not internal
-    return True, cur, internal
+def _cycle_multiset(cert: StructuralCertificate) -> Counter:
+    return Counter(tuple(sorted(c)) for c in cert.cycle_components)
+
+
+def _chain_multiset(sk: SkeletonCertificate) -> Counter:
+    return Counter(zip(sk.skeleton.edges, map(tuple, sk.chain_map)))

@@ -99,6 +99,14 @@ def test_edgelist_sniffing_skips_comment_lines(tmp_path, capsys, comment):
     assert json.loads(out) == {"ok": True, "violations": []}
 
 
+def test_graph6_check_skips_comment_lines(tmp_path, capsys):
+    path = write(tmp_path, "p.g6", f"#petersen\n{PETERSEN_G6}\n")
+    for argv in (["check", path, "--format", "graph6"], ["check", path]):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["verdict"] == "admissible"
+
+
 def test_budget_env_and_flag_precedence(tmp_path, capsys, monkeypatch):
     path = write(tmp_path, "p.g6", PETERSEN_G6)
     monkeypatch.setenv("TRIPM_BUDGET", "7")
@@ -269,6 +277,17 @@ def test_survey_records_in_input_order_with_summary(tmp_path, capsys):
     assert summary == {"summary": {
         "admissible": 2, "not-admissible": 1, "unknown": 0,
         "ineligible": 1, "error": 1, "total": 5}}
+
+
+def test_survey_skips_comment_lines_and_keeps_line_numbers(tmp_path, capsys):
+    path = write(tmp_path, "stream.g6",
+                 f"# header\n{PETERSEN_G6}\n  #indented\n\nC~\n#tail\n")
+    code, out, _ = run(capsys, ["survey", path, "--jobs", "1"])
+    assert code == 0
+    *records, summary = [json.loads(ln) for ln in out.splitlines()]
+    assert [(r["line"], r["verdict"]) for r in records] == [
+        (2, "admissible"), (5, "admissible")]
+    assert summary["summary"]["total"] == 2
 
 
 def test_survey_decides_a_graph_deeper_than_the_recursion_limit(tmp_path, capsys):

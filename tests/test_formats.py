@@ -51,6 +51,16 @@ def test_parse_graph6_rejects_out_of_range_byte():
         parse_graph6("C!")
 
 
+def test_parse_graph6_skips_comment_lines():
+    assert parse_graph6("#petersen\n" + write_graph6(petersen())) == petersen()
+    assert parse_graph6(" # k4\nC~\n#end\n") == k4()
+    with pytest.raises(GraphFormatError, match="empty"):
+        parse_graph6("#only a comment\n")
+    # a '#' inside a graph6 line is no comment and stays an error
+    with pytest.raises(GraphFormatError, match="byte 1: character '#'"):
+        parse_graph6("C#")
+
+
 def test_parse_graph6_rejects_long_form():
     with pytest.raises(GraphFormatError, match="n > 62"):
         parse_graph6("~??~?????")

@@ -21,12 +21,15 @@ from tripm import (
     color_cubic_3,
     is_perfect_matching,
     make_graph,
+    structural_check,
     structural_witness,
     triple_from_structural,
     verify_structural,
     verify_triple,
+    write_graph6,
 )
 from tripm.certificates import verify_certificate
+from tripm.cli import main
 from tripm.generators import (
     bisubdivide,
     cube,
@@ -261,7 +264,11 @@ def test_verify_structural_flags_bad_coloring():
         cert.skeleton_part.with_coloring((1, 1, 3)))
     report = verify_structural(g, bad)
     assert not report["ok"]
-    assert any("colors" in v for v in report["violations"])
+    # an improper coloring lifts to classes that are not perfect matchings
+    assert report["violations"][0].startswith("structural lift failed")
+    short = replace(cert, skeleton_part=cert.skeleton_part.with_coloring((1, 2)))
+    assert verify_structural(g, short) == {
+        "ok": False, "violations": ["coloring length differs from skeleton size"]}
 
 
 def test_verify_structural_flags_odd_cycle():
@@ -287,7 +294,8 @@ def test_verify_structural_flags_unaccounted_edges():
     missing = StructuralCertificate(cert.spanning, (), cert.skeleton_part)
     report = verify_structural(g, missing)
     assert not report["ok"]
-    assert any("partition" in v for v in report["violations"])
+    assert report["violations"] == [
+        "cycle components differ from the cycles of the spanning set"]
 
 
 def test_verify_structural_flags_non_spanning_degrees():
@@ -308,18 +316,32 @@ def test_verify_structural_flags_short_branch_vertex_list():
         replace(sk, branch_vertices=sk.branch_vertices[:-2]))
     report = verify_structural(g, short)
     assert not report["ok"]
-    assert "skeleton order differs from branch vertex count" in report["violations"]
-    assert any("has no branch vertex" in v for v in report["violations"])
+    assert report["violations"] == [
+        f"branch vertices {list(short.skeleton_part.branch_vertices)} differ "
+        f"from the degree-3 vertices {list(sk.branch_vertices)}"]
 
 
-def test_verify_structural_flags_cycle_ids_outside_the_graph():
+def test_verify_structural_flags_cycle_ids_outside_the_graph(tmp_path, capsys):
     g = mixed_host()
     cert = mixed_certificate()
     stray = StructuralCertificate(
         cert.spanning, cert.cycle_components + ((99,),), cert.skeleton_part)
     report = verify_structural(g, stray)
-    assert not report["ok"]
-    assert "cycle component edges outside the spanning set" in report["violations"]
+    assert report == {"ok": False, "violations": [
+        "cycle components differ from the cycles of the spanning set"]}
+    # the C4's edges, sorted, with edge 2 listed twice: the same edge set
+    # as the true cycle, but not the same multiset
+    repeated = replace(cert, cycle_components=((0, 1, 2, 2, 3),))
+    assert verify_structural(g, repeated) == report
+    blob = certificate_to_json(g, repeated)
+    decoded = certificate_from_json(g, json.loads(json.dumps(blob)))
+    assert decoded.cycle_components == ((0, 1, 2, 2, 3),)
+    assert verify_certificate(g, decoded) == report
+    gpath, cpath = tmp_path / "g.g6", tmp_path / "cert.json"
+    gpath.write_text(write_graph6(g) + "\n", encoding="utf-8")
+    cpath.write_text(json.dumps(blob), encoding="utf-8")
+    assert main(["verify", str(gpath), str(cpath)]) == 1
+    assert json.loads(capsys.readouterr().out) == report
 
 
 def test_verify_structural_accepts_pure_even_2factor():
@@ -397,8 +419,10 @@ def test_lift_along_given_cycles_equals_the_rederiving_reference():
 
 def test_lift_needs_cycle_components_in_traversal_order():
     """A component listed in sorted, non-walk order does not alternate
-    into matchings, so the lift raises; verify_structural traces the
-    cycles itself, and the skeleton JSON stores components sorted anyway."""
+    into matchings, so the lift raises.  verify_structural accepts it: it
+    re-derives the split with structural_witness, compares components as
+    edge multisets and lifts along the derived cycles, and the skeleton
+    JSON stores components sorted anyway."""
     # a 6-cycle on 0 .. 5 beside a theta on 6, 7 with chains of length 1, 3, 3
     g = make_graph(12, [(i, (i + 1) % 6) for i in range(6)]
                    + [(6, 7), (6, 8), (8, 9), (7, 9), (6, 10), (10, 11), (7, 11)])
@@ -417,3 +441,96 @@ def test_lift_needs_cycle_components_in_traversal_order():
     decoded = certificate_from_json(g, json.loads(json.dumps(blob)))
     assert decoded.cycle_components == ((0, 1, 2, 3, 4, 5),)
     assert verify_certificate(g, decoded) == {"ok": True, "violations": []}
+
+
+def certified_corpus(seed):
+    """(graph, structural certificate) pairs from the structural route.
+
+    Ladders and bisubdivided K4, K3,3 and Petersen come from check().
+    Mixed hosts put even cycles beside a Petersen graph and a theta, K4 or
+    K3,3, each bisubdivided up to three times; check() calls such a
+    disconnected host ineligible, so they come from structural_check, the
+    route check() runs.
+    """
+    rng = random.Random(seed)
+    graphs = [ladder(n, twist) for n in range(6, 27, 4) for twist in (False, True)]
+    for base in (k4(), k33(), petersen()):
+        for _ in range(12):
+            g = base
+            for _ in range(rng.randint(1, 3)):
+                g = bisubdivide(g, rng.randrange(g.m))
+            graphs.append(g)
+    for g in graphs:
+        v = check(g)
+        if v.structural is not None:
+            yield g, v.structural
+    theta = make_graph(2, [(0, 1)] * 3)
+    for _ in range(60):
+        pieces = [make_graph(k, [(i, (i + 1) % k) for i in range(k)])
+                  for k in rng.choices((2, 4, 6), k=rng.randint(1, 2))]
+        for base in (petersen(), rng.choice((theta, k4(), k33()))):
+            for _ in range(rng.randint(0, 3)):
+                base = bisubdivide(base, rng.randrange(base.m))
+            pieces.append(base)
+        rng.shuffle(pieces)
+        edges, n = [], 0
+        for piece in pieces:
+            edges += [(u + n, v + n) for u, v in piece.edges]
+            n += piece.n
+        g = make_graph(n, edges)
+        yield g, structural_check(g, _gate=False).structural
+
+
+def verifies(g, cert):
+    """verify_structural on the certificate and, for the skeleton form,
+    after a JSON round trip; the two must agree."""
+    ok = verify_structural(g, cert)["ok"]
+    if cert.skeleton_part is not None:
+        blob = json.loads(json.dumps(certificate_to_json(g, cert)))
+        assert verify_certificate(g, certificate_from_json(g, blob))["ok"] == ok
+    return ok
+
+
+def test_verify_structural_accepts_relistings_and_rejects_tampering():
+    rng = random.Random(2222)
+    seen = Counter()
+    for g, cert in certified_corpus(seed=2221):
+        assert verifies(g, cert), g
+        seen[cert.clause] += 1
+        for i, cyc in enumerate(cert.cycle_components):
+            k = rng.randrange(len(cyc))
+            for relisted, ok in ((cyc[k:] + cyc[:k], True),
+                                 (tuple(sorted(cyc)), True),
+                                 (cyc[:k + 1] + cyc[k:], False)):
+                comps = list(cert.cycle_components)
+                comps[i] = relisted
+                assert verifies(g, replace(cert, cycle_components=tuple(comps))) == ok
+            seen["cycle"] += 1
+        sk = cert.skeleton_part
+        if sk is None:
+            continue
+        # Graph keeps skeleton edges sorted, so chains move within a
+        # parallel class, taking their colors with them
+        order = sorted(range(sk.skeleton.m),
+                       key=lambda i: (sk.skeleton.edges[i], rng.random()))
+        seen["permuted"] += order != sorted(order)
+        permuted = replace(sk, chain_map=tuple(sk.chain_map[i] for i in order),
+                           coloring=tuple(sk.coloring[i] for i in order))
+        assert verifies(g, replace(cert, skeleton_part=permuted))
+        i = rng.randrange(sk.skeleton.m)
+        a, _ = sk.skeleton.edges[i]
+        j = next(j for j in sk.skeleton.incident[a] if j != i)
+        keep = [x for x in range(sk.skeleton.m) if x != i]
+        dropped = replace(
+            sk, skeleton=Graph(sk.skeleton.n, tuple(sk.skeleton.edges[x] for x in keep)),
+            chain_map=tuple(sk.chain_map[x] for x in keep),
+            coloring=tuple(sk.coloring[x] for x in keep))
+        recolored = sk.with_coloring(
+            sk.coloring[:i] + (sk.coloring[j],) + sk.coloring[i + 1:])
+        outside = [v for v in range(g.n) if v not in sk.branch_vertices]
+        k = rng.randrange(sk.skeleton.n)
+        moved = replace(sk, branch_vertices=sk.branch_vertices[:k]
+                        + (rng.choice(outside),) + sk.branch_vertices[k + 1:])
+        for bad in (dropped, recolored, moved):
+            assert not verifies(g, replace(cert, skeleton_part=bad)), g
+    assert min(seen.values()) >= 10 and len(seen) == 5, seen
