@@ -1,6 +1,6 @@
 """Admissibility decisions: direct triple search, structural search over
 spanning degree-{2,3} subgraphs, and the check() orchestrator with its
-constructive 4-regular stage.
+4-regular stage.
 
 The direct search is ground truth.  A pair scan suffices for it: a triple
 (M1, M2, M3) with empty common intersection exists iff some pair (Mi, Mj),
@@ -9,7 +9,8 @@ conversely any valid triple's third matching avoids the other two's
 intersection); pairs are scanned as the matchings arrive.  The structural
 search realizes the equivalent characterization: a spanning subgraph whose
 components are even cycles or bisubdivided pieces of a 3-edge-colorable
-cubic graph.
+cubic graph.  The 4-regular stage tests one pair without a search: two
+disjoint perfect matchings M1, M2 give the triple (M1, M2, M2).
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .certificates import (
     Verdict,
     verify_triple,
 )
-from .gallai import gallai_edmonds
-from .graph import Graph, is_k_connected
+from .graph import Graph
 from .matching import (
     enumerate_perfect_matchings,
     is_matching_covered,
@@ -182,78 +182,16 @@ def structural_check(g: Graph, budget=None, *, _gate: bool = True) -> Verdict:
 # 4-regular construction
 
 
-def _fastpath_applicable(g: Graph) -> bool:
-    return g.is_regular(4) and g.is_simple()
-
-
-def _step_iii(g: Graph, m1, sub: Graph, emap, ge) -> Verdict | None:
-    """Constructive case: G - M1 decomposes into one cut vertex u and three
-    factor-critical components.  Two M1 edges e, f across distinct
-    components give M2 (forces e, pairs u into the component e misses) and
-    M3 (same with f); then M1 ∩ M2 = {e}, M1 ∩ M3 = {f}, triple empty."""
-    (u,) = ge.a
-    comp_of: dict[int, int] = {}
-    for i, comp in enumerate(ge.components):
-        for v in comp:
-            comp_of[v] = i
-    u_edge: dict[int, int] = {}  # component index -> host edge id of a u-edge
-    for w, e_new in sub.adjacency[u]:
-        i = comp_of.get(w)
-        if i is None:
-            return None
-        u_edge.setdefault(i, emap[e_new])
-    if set(u_edge) != {0, 1, 2}:
-        return None
-    cross = []
-    for e in sorted(m1):
-        x, y = g.edges[e]
-        if x in comp_of and y in comp_of and comp_of[x] != comp_of[y]:
-            cross.append(e)
-    if len(cross) < 2:
-        return None
-    e, f = cross[0], cross[1]
-
-    def partner(edge: int) -> int:
-        x, y = g.edges[edge]
-        (k,) = {0, 1, 2} - {comp_of[x], comp_of[y]}
-        return u_edge[k]
-
-    m2 = perfect_matching_with_forced(g, forced=(e, partner(e)),
-                                      forbidden=m1 - {e})
-    m3 = perfect_matching_with_forced(g, forced=(f, partner(f)),
-                                      forbidden=m1 - {f})
-    if m2 is None or m3 is None:
-        return None
-    triple = _verified(g, m1, m2, m3)
-    return Verdict(ADMISSIBLE, triple=triple,
-                   evidence={"stage": "four-regular", "step": "iii",
-                             "e": e, "f": f})
-
-
 def _fastpath_from_m1(g: Graph, m1) -> Verdict:
-    """The construction from the perfect matching ``m1``, with no search:
-    step (ii) takes a perfect matching M2 avoiding M1 and returns
-    (M1, M2, M2); step (iii) builds the triple from the Gallai-Edmonds
-    shape of G - M1.  Returns an unknown verdict when neither applies.
-
-    Step (iii) cannot fail on a 3-connected graph with n <= 18, so only that
-    failure tests connectivity; every returned triple is verified anyway."""
+    """The construction from the perfect matching ``m1``, with no search: a
+    perfect matching M2 avoiding M1 gives the triple (M1, M2, M2).  Returns
+    an unknown verdict when G - M1 has no perfect matching."""
     m1 = frozenset(m1)
     m2 = perfect_matching_with_forced(g, forbidden=m1)
-    if m2 is not None:
-        return Verdict(ADMISSIBLE, triple=_verified(g, m1, m2, m2),
-                       evidence={"stage": "four-regular", "step": "ii"})
-    sub, emap = g.spanning_subgraph(set(range(g.m)) - m1)
-    ge = gallai_edmonds(sub)
-    if len(ge.a) == 1 and not ge.c and ge.omega == 3:
-        verdict = _step_iii(g, m1, sub, emap, ge)
-        if verdict is not None:
-            return verdict
-        if g.n <= 18 and is_k_connected(g, 3):
-            raise AssertionError(
-                "internal: step (iii) construction failed on n <= 18, "
-                "contradicting the admissibility bound")
-    return Verdict(UNKNOWN, budget_report={"stage": "four-regular", "used": 0})
+    if m2 is None:
+        return Verdict(UNKNOWN, budget_report={"stage": "four-regular", "used": 0})
+    return Verdict(ADMISSIBLE, triple=_verified(g, m1, m2, m2),
+                   evidence={"stage": "four-regular", "step": "ii"})
 
 
 # ---------------------------------------------------------------------------
@@ -263,14 +201,15 @@ def _fastpath_from_m1(g: Graph, m1) -> Verdict:
 def check(g: Graph, budget=None) -> Verdict:
     """Full decision pipeline.
 
-    Matching-covered gate, then on a simple 4-regular graph the
-    construction from one perfect matching (its verdicts carry
-    ``evidence["stage"] == "four-regular"``), then the two searches: the
-    structural one (whose first phase finds any even 2-factor, Hamilton
-    cycles included) and the direct one.  The first definitive verdict
-    wins, and its ``nodes`` count every node charged.  The construction
-    charges no nodes; when it does not decide, the searches run as on any
-    other graph.
+    Matching-covered gate, then on a 4-regular graph the construction:
+    M1 = ``max_matching(g)`` and a perfect matching M2 avoiding it give the
+    triple (M1, M2, M2) (its verdicts carry
+    ``evidence == {"stage": "four-regular", "step": "ii"}``), then the two
+    searches: the structural one (whose first phase finds any even
+    2-factor, Hamilton cycles included) and the direct one.  The first
+    definitive verdict wins, and its ``nodes`` count every node charged.
+    The construction charges no nodes; when G - M1 has no perfect
+    matching, the searches run as on any other graph.
 
     When the budget is unlimited or at least four probes, each search first
     gets one probe of ``PROBE_NODES_PER_EDGE * g.m`` nodes, structural
@@ -296,7 +235,7 @@ def _decide(g: Graph, limit: int | None) -> Verdict:
             reason = f"{reason} (edge {report['edge']})"
         return Verdict(INELIGIBLE, reason=f"not matching covered: {reason}")
 
-    if _fastpath_applicable(g):
+    if g.is_regular(4):
         m1 = max_matching(g)  # perfect: g is matching covered
         verdict = _fastpath_from_m1(g, m1)
         if verdict.definitive:

@@ -4,6 +4,7 @@ construction, and the check() orchestrator with its budget discipline."""
 import pytest
 
 import tripm.admissible
+import tripm.graph
 from tripm import (
     ADMISSIBLE,
     Budget,
@@ -15,10 +16,10 @@ from tripm import (
     enumerate_perfect_matchings,
     find_even_2factor,
     find_triple_direct,
-    gallai_edmonds,
     is_k_connected,
     is_matching_covered,
     make_graph,
+    max_matching,
     parse_graph6,
     structural_check,
     verify_structural,
@@ -26,8 +27,6 @@ from tripm import (
 )
 from tripm.admissible import (
     PROBE_NODES_PER_EDGE,
-    _fastpath_applicable,
-    _fastpath_from_m1,
     _structural_candidate,
 )
 from tripm.generators import (
@@ -44,6 +43,7 @@ from tripm.twofactor import search_spanning
 from conftest import (
     flower,
     random_multigraph_corpus,
+    random_regular_multigraph_corpus,
     sampled_matching_covered,
     three_connected_four_regular,
 )
@@ -303,24 +303,6 @@ def planted_step_iii_graph():
     return g, m1
 
 
-def test_fastpath_step_iii_construction():
-    g, m1 = planted_step_iii_graph()
-    assert _fastpath_applicable(g) and is_k_connected(g, 3)
-    sub, _ = g.spanning_subgraph(set(range(g.m)) - m1)
-    ge = gallai_edmonds(sub)
-    assert len(ge.a) == 1 and not ge.c and ge.omega == 3
-    v = _fastpath_from_m1(g, m1)
-    assert v.status == ADMISSIBLE
-    assert v.evidence["stage"] == "four-regular"
-    assert v.evidence["step"] == "iii"
-    e, f = v.evidence["e"], v.evidence["f"]
-    assert e != f and e in m1 and f in m1
-    assert v.triple.m1 == m1
-    assert v.triple.m1 & v.triple.m2 == frozenset({e})
-    assert v.triple.m1 & v.triple.m3 == frozenset({f})
-    assert verify_triple(g, v.triple)["ok"]
-
-
 def test_fastpath_public_entry_on_planted_graph():
     # check() is the construction's one public entry; its M1 comes from
     # max_matching, which leaves G - M1 a perfect matching
@@ -328,28 +310,49 @@ def test_fastpath_public_entry_on_planted_graph():
     assert_constructed(g, check(g), "ii")
 
 
-def test_fastpath_step_iii_failure_raises_only_on_a_3_connected_graph(
+def test_check_falls_through_when_g_minus_m1_has_no_perfect_matching(
         monkeypatch):
+    # G - M1 is no_pm_cubic16, so no M2 avoids the planted M1 and the
+    # stage leaves the graph to the searches
     g, m1 = planted_step_iii_graph()
-    monkeypatch.setattr(tripm.admissible, "_step_iii", lambda *args: None)
-    with pytest.raises(AssertionError, match="n <= 18"):
-        _fastpath_from_m1(g, m1)
-    monkeypatch.setattr(tripm.admissible, "is_k_connected", lambda *args: False)
-    v = _fastpath_from_m1(g, m1)
-    assert v.status == UNKNOWN
-    assert v.budget_report == {"stage": "four-regular", "used": 0}
+    monkeypatch.setattr(tripm.admissible, "max_matching", lambda g: m1)
+    v = check(g)
+    assert v.status == ADMISSIBLE
+    assert verify_triple(g, v.triple)["ok"]
+    assert (v.evidence or {}).get("stage") != "four-regular"
 
 
 def test_fastpath_preconditions():
-    assert not _fastpath_applicable(petersen())
+    assert check(petersen()).evidence is None
+    # parallel edges are no obstacle: the stage decides the doubled C4
     doubled = make_graph(4, [(0, 1), (0, 1), (1, 2), (1, 2),
                              (2, 3), (2, 3), (0, 3), (0, 3)])
-    assert not _fastpath_applicable(doubled)
-    # 3-connectivity is no precondition: every constructed triple is verified
-    assert _fastpath_applicable(two_octahedra_with_bridge_pair())
+    v = check(doubled)
+    assert_constructed(doubled, v, "ii")
+    assert v.evidence == {"stage": "four-regular", "step": "ii"}
     # odd order never reaches the construction: the gate refuses it
     k5 = make_graph(5, [(u, v) for u in range(5) for v in range(u + 1, 5)])
     assert check(k5).status == INELIGIBLE
+
+
+def test_fastpath_on_seeded_4_regular_multigraphs():
+    decided = 0
+    for g in random_regular_multigraph_corpus(800, seed=24):
+        if not g.is_regular(4):
+            continue
+        v = check(g)
+        if v.status == INELIGIBLE:
+            continue
+        m1 = max_matching(g)
+        disjoint = any(not (m & m1) for m in brute_perfect_matchings(g))
+        staged = (v.evidence or {}).get("stage") == "four-regular"
+        assert staged is disjoint, g
+        if staged:
+            assert_constructed(g, v, "ii")
+            decided += 1
+        else:
+            assert v.status == find_triple_direct(g).status, g
+    assert decided > 0
 
 
 def two_octahedra_with_bridge_pair():
@@ -372,8 +375,8 @@ def test_fastpath_small_seeded_corpus_all_admissible(monkeypatch):
     graphs = [octahedron()] + three_connected_four_regular(10, seed_start=400,
                                                            count=10)
     calls = []
-    real = tripm.admissible.is_k_connected
-    monkeypatch.setattr(tripm.admissible, "is_k_connected",
+    real = tripm.graph._biconnected_without
+    monkeypatch.setattr(tripm.graph, "_biconnected_without",
                         lambda *args: calls.append(args) or real(*args))
     for g in graphs:
         assert_constructed(g, check(g), "ii")
@@ -419,7 +422,7 @@ def test_check_decides_hamiltonian_graphs_by_even_2factor(matching_covered_small
     decided = 0
     for n in (2, 4, 6):
         for g in matching_covered_small[n]:
-            if _fastpath_applicable(g) or not brute_is_hamiltonian(g):
+            if g.is_regular(4) or not brute_is_hamiltonian(g):
                 continue
             v = check(g)
             assert v.status == ADMISSIBLE, g
