@@ -5,9 +5,11 @@ import pytest
 
 import tripm.admissible
 import tripm.graph
+import tripm.matching
 from tripm import (
     ADMISSIBLE,
     Budget,
+    Graph,
     INELIGIBLE,
     NOT_ADMISSIBLE,
     UNKNOWN,
@@ -21,6 +23,7 @@ from tripm import (
     make_graph,
     max_matching,
     parse_graph6,
+    perfect_matching_with_forced,
     structural_check,
     verify_structural,
     verify_triple,
@@ -313,9 +316,15 @@ def test_fastpath_public_entry_on_planted_graph():
 def test_check_falls_through_when_g_minus_m1_has_no_perfect_matching(
         monkeypatch):
     # G - M1 is no_pm_cubic16, so no M2 avoids the planted M1 and the
-    # stage leaves the graph to the searches
+    # stage leaves the graph to the searches; the planted pair is what
+    # disjoint_perfect_matchings would give with M1 in max_matching's place
     g, m1 = planted_step_iii_graph()
-    monkeypatch.setattr(tripm.admissible, "max_matching", lambda g: m1)
+    # an M1 other than the shared pair's gets its own M2 search
+    assert not tripm.admissible._fastpath_from_m1(g, m1).definitive
+    pair = (m1, perfect_matching_with_forced(g, forbidden=m1))
+    assert pair[1] is None
+    monkeypatch.setattr(tripm.admissible, "disjoint_perfect_matchings",
+                        lambda g: pair)
     v = check(g)
     assert v.status == ADMISSIBLE
     assert verify_triple(g, v.triple)["ok"]
@@ -397,6 +406,39 @@ def test_check_ineligible_reasons():
     v = check(make_graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
     assert v.status == INELIGIBLE
     assert v.reason == "not matching covered: edge in no perfect matching (edge 1)"
+
+
+def test_check_on_sparse_input_builds_no_vertex_lists():
+    # fewer than n - 1 edges: not connected, read off the edge count alone
+    g = Graph(10**6, ())
+    v = check(g)
+    assert v.status == INELIGIBLE
+    assert v.reason == "not matching covered: not connected"
+    assert "adjacency" not in g.__dict__
+
+
+def test_check_shares_the_gates_disjoint_pair(monkeypatch):
+    # the octahedron's rest E - M1 - M2 is a 6-cycle, so the gate proves it
+    # matching covered from the pair, and the 4-regular stage reuses the
+    # pair: one maximum matching on G, one on G - M1, and no per-edge trial
+    # (the gate's trials are the only searches blocking two vertices)
+    calls = []
+    mates, augment = tripm.matching._maximum_mates, tripm.matching._augment
+
+    def counted_mates(*args):
+        calls.append("maximum matching")
+        return mates(*args)
+
+    def counted_augment(nbr, match, root, blocked=()):
+        if len(blocked) == 2:
+            calls.append("per-edge trial")
+        return augment(nbr, match, root, blocked)
+    monkeypatch.setattr(tripm.matching, "_maximum_mates", counted_mates)
+    monkeypatch.setattr(tripm.matching, "_augment", counted_augment)
+    tripm.matching.disjoint_perfect_matchings.cache_clear()
+    g = octahedron()
+    assert_constructed(g, check(g), "ii")
+    assert calls == ["maximum matching"] * 2
 
 
 def test_check_uses_fastpath_on_octahedron():

@@ -280,16 +280,36 @@ def test_matching_covered_gate_agrees_with_bruteforce_on_multigraphs():
                        "no perfect matching", "edge in no perfect matching"}
 
 
-def test_matching_covered_gate_agrees_with_bruteforce_on_regular_multigraphs():
+def test_matching_covered_gate_agrees_with_bruteforce_on_regular_multigraphs(
+        monkeypatch):
+    # on degree 4 the even-rest shortcut must decide some covered graphs,
+    # leave others to the per-edge searches, and never decide a failing one
+    shortcut = []
+    rest_is_even = tripm.matching._rest_is_even
+
+    def spy(*args):
+        shortcut.append(rest_is_even(*args))
+        return shortcut[-1]
+    monkeypatch.setattr(tripm.matching, "_rest_is_even", spy)
     outcomes = {r: set() for r in range(1, 5)}
+    decided = fell_through = 0
     for g in random_regular_multigraph_corpus(4000, seed=17):
         r = g.degree(0)
         assert g.is_regular(r)
+        shortcut.clear()
         ok, report = is_matching_covered(g)
         expected = brute_gate(g)
         assert (ok, report.get("reason"), report.get("edge")) == expected, g
         outcomes[r].add(ok)
-    assert outcomes[2] == outcomes[3] == {True, False}
+        if r == 4 and ok:
+            decided += shortcut == [True]
+            fell_through += shortcut != [True]
+        else:
+            assert True not in shortcut, g
+            if report.get("reason") == "not connected":
+                assert shortcut == [], g
+    assert outcomes[2] == outcomes[3] == outcomes[4] == {True, False}
+    assert decided > 0 and fell_through > 0
 
 
 class MatchingSearched(Exception):
