@@ -227,17 +227,17 @@ def _matching_from_json(g: Graph, obj, label: str) -> frozenset[int]:
         ids = _edge_ids(g, obj["edge_ids"], label)
         if sorted(g.edges[e] for e in ids) != sorted(pairs):
             raise CertificateFormatError(f"{label}: edge ids disagree with [u, v] pairs")
-        return frozenset(ids)
-    # derive ids from pairs; ambiguous only in multigraphs, where ids are required
-    ids = []
-    for u, v in pairs:
-        cands = g.edge_ids_between(u, v)
-        if not cands:
-            raise CertificateFormatError(f"{label}: ({u}, {v}) is not an edge")
-        if len(cands) > 1:
-            raise CertificateFormatError(
-                f"{label}: ({u}, {v}) is a parallel class, edge_ids required")
-        ids.append(cands[0])
+    else:
+        # derive ids from pairs; ambiguous only in multigraphs, where ids are required
+        ids = []
+        for u, v in pairs:
+            cands = g.edge_ids_between(u, v)
+            if not cands:
+                raise CertificateFormatError(f"{label}: ({u}, {v}) is not an edge")
+            if len(cands) > 1:
+                raise CertificateFormatError(
+                    f"{label}: ({u}, {v}) is a parallel class, edge_ids required")
+            ids.append(cands[0])
     if len(set(ids)) != len(ids):
         raise CertificateFormatError(f"{label}: repeated edges")
     return frozenset(ids)

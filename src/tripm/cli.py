@@ -121,9 +121,9 @@ def cmd_check(args) -> int:
         report["budget_report"] = verdict.budget_report
     print(json.dumps(report, indent=2))
     if args.cert_out and verdict.status == ADMISSIBLE:
-        cert = verdict.structural if verdict.structural is not None else verdict.triple
+        cert = report.get("structural_certificate") or report["certificate"]
         with open(args.cert_out, "w", encoding="utf-8") as fh:
-            json.dump(certificate_to_json(g, cert), fh, indent=2)
+            json.dump(cert, fh, indent=2)
             fh.write("\n")
     return EXIT_CODE[verdict.status]
 
@@ -217,6 +217,8 @@ def _print_survey(records, cross: bool) -> None:
 
 
 def cmd_generate(args) -> int:
+    if args.count < 1:
+        raise UsageError(f"--count must be >= 1, got {args.count}")
     out = []
     for i in range(args.count):
         seed = args.seed + i if args.seed is not None else None
@@ -306,7 +308,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None, help="degree parameter")
     p.add_argument("--seed", type=int, default=None,
                    help="seed; --count increments it per graph")
-    p.add_argument("--count", type=int, default=1)
+    p.add_argument("--count", type=int, default=1,
+                   help="number of graphs, at least 1")
     p.add_argument("--format", choices=("graph6", "edgelist"), default=None,
                    help="output format (default: graph6 when expressible)")
     p.set_defaults(func=cmd_generate)

@@ -9,11 +9,11 @@ order, so repeated calls return identical results.
 from __future__ import annotations
 
 from collections import deque
-from functools import lru_cache
 from typing import Iterator
 
 from .budget import as_budget
 from .graph import Graph, is_connected, is_k_connected
+from .twofactor import factor_cycles
 
 
 def _augment(nbr: list[list[int]], match: list[int], root: int,
@@ -267,55 +267,13 @@ def count_perfect_matchings(g: Graph, budget=None) -> int:
     return sum(1 for _ in enumerate_perfect_matchings(g, budget))
 
 
-@lru_cache(maxsize=1)
-def disjoint_perfect_matchings(g: Graph) -> tuple[frozenset[int], frozenset[int] | None]:
-    """M1 = ``max_matching(g)`` and, when M1 is perfect, M2 =
-    ``perfect_matching_with_forced(g, forbidden=M1)``; M2 is None when M1
-    is not perfect or no perfect matching avoids it.
-
-    Kept for the last graph asked: on a 4-regular graph the matching
-    covered gate builds the pair and ``check()``'s 4-regular stage takes
-    it from here, so G and G - M1 cost one maximum matching each.
-    """
-    m1 = max_matching(g)
-    if 2 * len(m1) < g.n:
-        return m1, None
-    return m1, perfect_matching_with_forced(g, forbidden=m1)
-
-
-def _rest_is_even(g: Graph, m1, m2) -> bool:
-    """True iff the graph without the edges of ``m1`` and ``m2`` is
-    bipartite: on a 4-regular graph with disjoint perfect matchings M1, M2
-    that rest is a 2-factor, and it splits into two perfect matchings
-    exactly when each of its cycles is even."""
-    nbr: list[list[int]] = [[] for _ in range(g.n)]
-    for e, (u, v) in enumerate(g.edges):
-        if e not in m1 and e not in m2:
-            nbr[u].append(v)
-            nbr[v].append(u)
-    side = [-1] * g.n
-    for s in range(g.n):
-        if side[s] >= 0:
-            continue
-        side[s] = 0
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in nbr[v]:
-                if side[w] < 0:
-                    side[w] = side[v] ^ 1
-                    stack.append(w)
-                elif side[w] == side[v]:
-                    return False
-    return True
-
-
 def is_matching_covered(g: Graph) -> tuple[bool, dict]:
     """Connected and every edge lies in some perfect matching.
 
-    Returns (flag, report).  On success the report is empty.  On failure
-    it names the reason and, when an edge has no perfect matching through
-    it, the lowest such edge id.  A graph with fewer than n - 1 edges is
+    Returns (flag, report).  On success the report is empty, or holds the
+    disjoint pair of a 4-regular graph (below).  On failure it names the
+    reason and, when an edge has no perfect matching through it, the
+    lowest such edge id.  A graph with fewer than n - 1 edges is
     "not connected" before any per-vertex list is built.
 
     An r-regular graph of even order with r <= 3 that is (r-1)-edge-
@@ -327,18 +285,20 @@ def is_matching_covered(g: Graph) -> tuple[bool, dict]:
     lowpoint DFS of ``is_k_connected(g, 2)``, since a bridge's end in a
     cubic graph with n > 2 is a cut vertex.
 
-    A connected 4-regular graph takes the disjoint pair M1, M2 of
-    ``disjoint_perfect_matchings``, which ``check()``'s 4-regular stage
-    reuses.  When every cycle of the 2-factor E - M1 - M2 is even, that
-    2-factor splits into two more perfect matchings, the four cover every
-    edge, and the answer is yes with no search.
-
-    Any other graph costs one maximum matching M (M1 on a 4-regular graph)
-    plus one augmenting search per edge whose end pair no perfect matching
-    found so far (M's, and M2's if there is one) joins: uv, with
-    M-partners u' and v', lies in a perfect matching iff
+    Any other graph costs one maximum matching M plus one augmenting
+    search per edge whose end pair no perfect matching found so far joins:
+    uv, with M-partners u' and v', lies in a perfect matching iff
     M - {uu', vv'} + {uv} augments from u' in G - u - v.  Parallel edges
     share their end pair.
+
+    On a connected 4-regular graph M is M1 = ``max_matching(g)``, and one
+    more maximum matching looks for a perfect matching M2 avoiding it.
+    Whenever M2 exists the success report is ``{"disjoint_pair": (M1,
+    M2)}``, from which ``check()``'s 4-regular stage builds the triple
+    (M1, M2, M2), and M2's pairs count as covered.  When every cycle of
+    the 2-factor E - M1 - M2 is even, that 2-factor splits into two more
+    perfect matchings, the four cover every edge, and the answer is yes
+    with no per-edge search.
     """
     if g.n == 0 or g.n % 2:
         return False, {"reason": "odd or empty vertex set"}
@@ -352,25 +312,21 @@ def is_matching_covered(g: Graph) -> tuple[bool, dict]:
         return False, {"reason": "not connected"}
     if low_regular and r < 3:
         return True, {}
-    m1 = m2 = None
-    if r == 4 and g.is_regular(4):
-        m1, m2 = disjoint_perfect_matchings(g)
-        if m2 is not None and _rest_is_even(g, m1, m2):
-            return True, {}
     nbr = [sorted(s) for s in g.neighbor_sets]
-    if m1 is None:
-        match = _maximum_mates(g.n, nbr)
-    else:  # M1 is max_matching(g), so these are _maximum_mates' own mates
-        match = [-1] * g.n
-        for e in m1:
-            u, v = g.edges[e]
-            match[u] = v
-            match[v] = u
+    match = _maximum_mates(g.n, nbr)
     if -1 in match:
         return False, {"reason": "no perfect matching"}
     covered = {(x, y) for x, y in enumerate(match) if x < y}
-    if m2 is not None:
-        covered.update(g.edges[e] for e in m2)
+    found = {}
+    if r == 4 and g.is_regular(4):
+        m1 = _mates_to_edges(g, match)
+        m2 = perfect_matching_with_forced(g, forbidden=m1)
+        if m2 is not None:
+            found = {"disjoint_pair": (m1, m2)}
+            rest = set(range(g.m)).difference(m1, m2)
+            if all(len(c) % 2 == 0 for c in factor_cycles(g, rest)):
+                return True, found
+            covered.update(g.edges[e] for e in m2)
     for e, (u, v) in enumerate(g.edges):
         if (u, v) in covered:
             continue
@@ -382,7 +338,7 @@ def is_matching_covered(g: Graph) -> tuple[bool, dict]:
         # the new perfect matching is M with the path flipped, plus uv
         covered.add((u, v))
         covered.update((x, trial[x]) for x in flipped if x < trial[x])
-    return True, {}
+    return True, found
 
 
 def is_factor_critical(g: Graph, scope=None) -> bool:

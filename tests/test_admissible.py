@@ -13,7 +13,6 @@ from tripm import (
     INELIGIBLE,
     NOT_ADMISSIBLE,
     UNKNOWN,
-    Verdict,
     check,
     enumerate_perfect_matchings,
     find_even_2factor,
@@ -315,16 +314,14 @@ def test_fastpath_public_entry_on_planted_graph():
 
 def test_check_falls_through_when_g_minus_m1_has_no_perfect_matching(
         monkeypatch):
-    # G - M1 is no_pm_cubic16, so no M2 avoids the planted M1 and the
-    # stage leaves the graph to the searches; the planted pair is what
-    # disjoint_perfect_matchings would give with M1 in max_matching's place
+    # G - M1 is no_pm_cubic16, so no M2 avoids the planted M1; the gate is
+    # made to report no pair, as it would with M1 in max_matching's place,
+    # and the stage leaves the graph to the searches
     g, m1 = planted_step_iii_graph()
-    # an M1 other than the shared pair's gets its own M2 search
-    assert not tripm.admissible._fastpath_from_m1(g, m1).definitive
-    pair = (m1, perfect_matching_with_forced(g, forbidden=m1))
-    assert pair[1] is None
-    monkeypatch.setattr(tripm.admissible, "disjoint_perfect_matchings",
-                        lambda g: pair)
+    assert perfect_matching_with_forced(g, forbidden=m1) is None
+    gate = tripm.admissible.is_matching_covered
+    monkeypatch.setattr(tripm.admissible, "is_matching_covered",
+                        lambda g: (gate(g)[0], {}))
     v = check(g)
     assert v.status == ADMISSIBLE
     assert verify_triple(g, v.triple)["ok"]
@@ -419,9 +416,10 @@ def test_check_on_sparse_input_builds_no_vertex_lists():
 
 def test_check_shares_the_gates_disjoint_pair(monkeypatch):
     # the octahedron's rest E - M1 - M2 is a 6-cycle, so the gate proves it
-    # matching covered from the pair, and the 4-regular stage reuses the
-    # pair: one maximum matching on G, one on G - M1, and no per-edge trial
-    # (the gate's trials are the only searches blocking two vertices)
+    # matching covered from the pair, and the 4-regular stage takes the
+    # pair from the gate's report: one maximum matching on G, one on
+    # G - M1, and no per-edge trial (the gate's trials are the only
+    # searches blocking two vertices)
     calls = []
     mates, augment = tripm.matching._maximum_mates, tripm.matching._augment
 
@@ -435,7 +433,6 @@ def test_check_shares_the_gates_disjoint_pair(monkeypatch):
         return augment(nbr, match, root, blocked)
     monkeypatch.setattr(tripm.matching, "_maximum_mates", counted_mates)
     monkeypatch.setattr(tripm.matching, "_augment", counted_augment)
-    tripm.matching.disjoint_perfect_matchings.cache_clear()
     g = octahedron()
     assert_constructed(g, check(g), "ii")
     assert calls == ["maximum matching"] * 2
@@ -558,10 +555,10 @@ def test_check_on_a_nearly_spent_budget_is_unknown():
 
 @pytest.fixture
 def construction_undecided(monkeypatch):
-    """The 4-regular construction patched to decide nothing."""
-    undecided = Verdict(UNKNOWN, budget_report={"stage": "four-regular", "used": 0})
-    monkeypatch.setattr(tripm.admissible, "_fastpath_from_m1",
-                        lambda *args: undecided)
+    """The gate patched to report no disjoint pair, so the 4-regular
+    construction decides nothing."""
+    monkeypatch.setattr(tripm.admissible, "is_matching_covered",
+                        lambda g: (True, {}))
 
 
 def test_check_falls_to_structural_when_the_construction_does_not_decide(

@@ -260,6 +260,13 @@ def test_decoding_nonedge_and_repeats():
     obj["matchings"][0] = {"edges": [[0, 1], [0, 1]]}
     with pytest.raises(CertificateFormatError, match="repeated"):
         certificate_from_json(g, obj)
+    # with edge ids, a pair repeated along with its id is refused too
+    obj = certificate_to_json(g, k4_triple())
+    m = obj["matchings"][0]
+    m["edges"].append(m["edges"][0])
+    m["edge_ids"].append(m["edge_ids"][0])
+    with pytest.raises(CertificateFormatError, match="repeated"):
+        certificate_from_json(g, obj)
     from tripm import write_graph6
     g2 = make_graph(4, [(0, 1), (2, 3)])
     obj = {"type": "triple",

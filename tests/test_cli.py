@@ -154,6 +154,19 @@ def test_cert_out_then_verify_round_trip(tmp_path, capsys):
     assert json.loads(out) == {"ok": True, "violations": []}
 
 
+@pytest.mark.parametrize("graph", [PETERSEN_G6, write_graph6(octahedron())])
+def test_cert_out_writes_the_reports_certificate(tmp_path, capsys, graph):
+    # Petersen's report holds a structural certificate, which wins; the
+    # octahedron's holds the 4-regular construction's triple alone
+    gpath = write(tmp_path, "g.g6", graph)
+    cpath = tmp_path / "cert.json"
+    code, out, _ = run(capsys, ["check", gpath, "--cert-out", str(cpath)])
+    assert code == 0
+    report = json.loads(out)
+    entry = report.get("structural_certificate", report["certificate"])
+    assert cpath.read_text(encoding="utf-8") == json.dumps(entry, indent=2) + "\n"
+
+
 def test_cert_out_skipped_when_not_admissible(tmp_path, capsys):
     gpath = write(tmp_path, "k2.g6", K2_G6)
     cpath = tmp_path / "cert.json"
@@ -434,6 +447,13 @@ def test_generate_edge_list_output(capsys):
     code, out, _ = run(capsys, ["generate", "wheel", "--n", "62"])
     assert code == 0
     assert out.splitlines()[0] == "63 124"
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_generate_count_below_one_is_a_usage_error(capsys, count):
+    code, out, err = run(capsys, ["generate", "k4", "--count", count])
+    assert (code, out) == (4, "")
+    assert err.startswith("tripm: ") and "--count" in err and count in err
 
 
 def test_generate_missing_parameters(capsys):

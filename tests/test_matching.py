@@ -8,6 +8,7 @@ import tripm.matching
 from tripm import (
     Budget,
     BudgetExhausted,
+    TripleCertificate,
     count_perfect_matchings,
     enumerate_perfect_matchings,
     exposable_vertices,
@@ -22,6 +23,7 @@ from tripm import (
     max_matching,
     max_matching_size,
     perfect_matching_with_forced,
+    verify_triple,
 )
 from tripm.generators import k4, k33, no_pm_cubic16, petersen, prism, random_regular
 
@@ -283,16 +285,20 @@ def test_matching_covered_gate_agrees_with_bruteforce_on_multigraphs():
 def test_matching_covered_gate_agrees_with_bruteforce_on_regular_multigraphs(
         monkeypatch):
     # on degree 4 the even-rest shortcut must decide some covered graphs,
-    # leave others to the per-edge searches, and never decide a failing one
+    # leave others to the per-edge searches, and never decide a failing
+    # one; a success report holds the disjoint pair (M1, M2) exactly when
+    # some perfect matching avoids M1 = max_matching(g), and is empty
+    # otherwise
     shortcut = []
-    rest_is_even = tripm.matching._rest_is_even
+    factor_cycles = tripm.matching.factor_cycles
 
     def spy(*args):
-        shortcut.append(rest_is_even(*args))
-        return shortcut[-1]
-    monkeypatch.setattr(tripm.matching, "_rest_is_even", spy)
+        cycles = factor_cycles(*args)
+        shortcut.append(all(len(c) % 2 == 0 for c in cycles))
+        return cycles
+    monkeypatch.setattr(tripm.matching, "factor_cycles", spy)
     outcomes = {r: set() for r in range(1, 5)}
-    decided = fell_through = 0
+    decided = fell_through = paired = 0
     for g in random_regular_multigraph_corpus(4000, seed=17):
         r = g.degree(0)
         assert g.is_regular(r)
@@ -308,8 +314,19 @@ def test_matching_covered_gate_agrees_with_bruteforce_on_regular_multigraphs(
             assert True not in shortcut, g
             if report.get("reason") == "not connected":
                 assert shortcut == [], g
+        if not ok:
+            continue
+        m1 = max_matching(g)
+        if r == 4 and any(not pm & m1 for pm in brute_perfect_matchings(g)):
+            assert list(report) == ["disjoint_pair"], g
+            pair_m1, m2 = report["disjoint_pair"]
+            assert pair_m1 == m1, g
+            assert verify_triple(g, TripleCertificate(m1, m2, m2))["ok"], g
+            paired += 1
+        else:
+            assert report == {}, g
     assert outcomes[2] == outcomes[3] == outcomes[4] == {True, False}
-    assert decided > 0 and fell_through > 0
+    assert decided > 0 and fell_through > 0 and paired > 0
 
 
 class MatchingSearched(Exception):
