@@ -8,7 +8,6 @@ from .certificates import (
     NOT_ADMISSIBLE,
     UNKNOWN,
     CertificateFormatError,
-    SkeletonCertificate,
     StructuralCertificate,
     TripleCertificate,
     Verdict,
@@ -47,6 +46,7 @@ from .matching import (
 )
 from .skeleton import (
     SkeletonExtractionError,
+    StructuralSplit,
     color_cubic_3,
     structural_witness,
     triple_from_structural,
@@ -75,9 +75,9 @@ __all__ = [
     "GallaiEdmonds",
     "Graph",
     "GraphFormatError",
-    "SkeletonCertificate",
     "SkeletonExtractionError",
     "StructuralCertificate",
+    "StructuralSplit",
     "TripleCertificate",
     "Verdict",
     "certificate_from_json",

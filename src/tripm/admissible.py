@@ -114,21 +114,20 @@ def find_triple_direct(g: Graph, budget=None, *, _gate: bool = True) -> Verdict:
 # structural search
 
 
-def _structural_candidate(g: Graph, edge_ids,
-                          budget) -> StructuralCertificate | None:
+def _structural_candidate(g: Graph, edge_ids, budget):
     """Validate one spanning degree-{2,3} edge set with a branch part as a
-    witness; phase 1 already ruled out pure even 2-factors."""
+    witness; phase 1 already ruled out pure even 2-factors.  Returns the
+    set, its split and the skeleton's coloring, or None."""
     try:
-        cert = structural_witness(g, edge_ids)
+        split = structural_witness(g, edge_ids)
     except SkeletonExtractionError:
         return None
-    sk = cert.skeleton_part
-    if sk is None or any(len(c) % 2 for c in cert.cycle_components):
+    if split.skeleton is None or any(len(c) % 2 for c in split.cycles):
         return None
-    coloring = color_cubic_3(sk.skeleton, budget)
+    coloring = color_cubic_3(split.skeleton, budget)
     if coloring is None:
         return None
-    return replace(cert, skeleton_part=sk.with_coloring(coloring))
+    return edge_ids, split, coloring
 
 
 def structural_check(g: Graph, budget=None, *, _gate: bool = True) -> Verdict:
@@ -137,7 +136,8 @@ def structural_check(g: Graph, budget=None, *, _gate: bool = True) -> Verdict:
     Phase 1 searches even 2-factors, phase 2 spanning subgraphs with a
     branch part (bicontracted to a cubic skeleton and 3-edge-colored).
     On a cubic graph phase 2 skips the full edge set, whose skeleton is
-    the graph itself and colorable only through an even 2-factor.
+    the graph itself and colorable only through an even 2-factor.  The
+    witness is split once, and the triple is lifted from that split.
     NotAdmissible only after both phases exhaust; by the characterization
     this agrees with the direct search.
     """
@@ -151,7 +151,7 @@ def structural_check(g: Graph, budget=None, *, _gate: bool = True) -> Verdict:
             "stage": "structural", "phase": "even-2-factor",
             "limit": b.limit, "used": b.used}, nodes=b.used)
     if factor is not None:
-        structural = structural_witness(g, factor)
+        found = factor, structural_witness(g, factor), ()
     else:
         # A cubic graph's full edge set bicontracts to the graph itself,
         # whose coloring needs the even 2-factor phase 1 just ruled out.
@@ -163,15 +163,16 @@ def structural_check(g: Graph, budget=None, *, _gate: bool = True) -> Verdict:
             return _structural_candidate(g, chosen, b)
 
         try:
-            structural = search_spanning(g, b, 3, False, leaf)
+            found = search_spanning(g, b, 3, False, leaf)
         except BudgetExhausted:
             return Verdict(UNKNOWN, budget_report={
                 "stage": "structural", "phase": "skeleton-search",
                 "limit": b.limit, "used": b.used}, nodes=b.used)
-    if structural is not None:
+    if found is not None:
+        spanning, split, coloring = found
         return Verdict(ADMISSIBLE,
-                       triple=triple_from_structural(g, structural),
-                       structural=structural,
+                       triple=triple_from_structural(g, split, coloring),
+                       structural=StructuralCertificate(frozenset(spanning), coloring),
                        nodes=b.used)
     return Verdict(NOT_ADMISSIBLE, evidence={
         "stage": "structural",

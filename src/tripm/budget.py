@@ -36,12 +36,13 @@ class Budget:
 
 
 def as_budget(budget) -> Budget:
-    """Accept an int limit, an existing Budget, or None (unlimited)."""
+    """Accept an int limit, an existing Budget, or None (unlimited); a
+    bool is refused, although it is an int."""
     if budget is None:
         return Budget(None)
     if isinstance(budget, Budget):
         return budget
-    if isinstance(budget, int):
+    if isinstance(budget, int) and not isinstance(budget, bool):
         if budget < 0:
             raise ValueError("budget must be >= 0")
         return Budget(budget)

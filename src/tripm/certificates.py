@@ -2,20 +2,20 @@
 
 A triple certificate is three perfect matchings whose common intersection
 is empty.  A structural certificate witnesses the equivalent structural
-form: a spanning subgraph whose components are even cycles or subdivided
-cubic pieces, the latter carried as a skeleton with chain map and a proper
-3-edge-coloring.  JSON encodings embed the graph so that a certificate file
-plus the graph is enough to re-verify from scratch.
+form: a spanning subgraph whose components are even cycles or bisubdivided
+cubic pieces, carried as its edge set and a proper 3-edge-coloring of the
+pieces' skeleton; the rest is derived from the edge set.  JSON encodings
+embed the graph so that a certificate file plus the graph is enough to
+re-verify from scratch.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .graph import Graph
 from .formats import parse_edge_list, parse_graph6, write_edge_list, write_graph6
-from .twofactor import factor_cycles
 
 ADMISSIBLE = "admissible"
 NOT_ADMISSIBLE = "not-admissible"
@@ -44,49 +44,16 @@ class TripleCertificate:
 
 
 @dataclass(frozen=True)
-class SkeletonCertificate:
-    """Bisubdivision witness for the subdivided-cubic components.
-
-    skeleton vertex i corresponds to branch vertex ``branch_vertices[i]``;
-    skeleton edge (a, b) with id i expands to the chain ``chain_map[i]``:
-    host edge ids in path order from ``branch_vertices[a]`` to
-    ``branch_vertices[b]``.  The coloring, once present, assigns each
-    skeleton edge one color in 1..3 so that the classes are three perfect
-    matchings of the skeleton.  ``spanning`` is derived: the union of the
-    chains.
-    """
-
-    branch_vertices: tuple[int, ...]
-    skeleton: Graph
-    chain_map: tuple[tuple[int, ...], ...]
-    coloring: tuple[int, ...] | None = None
-
-    @property
-    def spanning(self) -> frozenset[int]:
-        return frozenset(e for path in self.chain_map for e in path)
-
-    def with_coloring(self, coloring) -> "SkeletonCertificate":
-        return replace(self, coloring=tuple(coloring))
-
-
-@dataclass(frozen=True)
 class StructuralCertificate:
-    """Spanning witness: even cycle components plus an optional skeleton
-    part.  ``clause`` reports which side of the characterization the
-    witness satisfies; a mix of both is possible and accepted.
+    """Spanning witness: an edge set whose components are even cycles or
+    bisubdivisions of 3-edge-colorable cubic graphs, plus one color in
+    1..3 per skeleton edge, in skeleton edge-id order (empty when no
+    vertex has degree 3).  The cycles, branch vertices, skeleton, chains
+    and clause are derived from the set by ``skeleton.structural_witness``.
     """
 
     spanning: frozenset[int]
-    cycle_components: tuple[tuple[int, ...], ...]
-    skeleton_part: SkeletonCertificate | None
-
-    @property
-    def clause(self) -> str:
-        if self.skeleton_part is None:
-            return "even-2-factor"
-        if self.cycle_components:
-            return "mixed"
-        return "skeleton"
+    coloring: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -243,47 +210,6 @@ def _matching_from_json(g: Graph, obj, label: str) -> frozenset[int]:
     return frozenset(ids)
 
 
-def _skeleton_from_json(g: Graph, obj) -> StructuralCertificate:
-    """Decode the JSON form of a skeleton-type structural certificate."""
-    spanning = _matching_from_json(g, obj.get("spanning"), "spanning")
-    raw_cycles = _list(obj.get("cycle_components", []), "cycle_components")
-    cycles = tuple(_edge_ids(g, comp, "cycle component") for comp in raw_cycles)
-    branch = _ints(obj.get("branch_vertices", []), "branch_vertices")
-    skdata = obj.get("skeleton")
-    if not (isinstance(skdata, dict) and type(skdata.get("n")) is int):
-        raise CertificateFormatError("skeleton certificate needs a skeleton object")
-    if not 0 <= skdata["n"] <= g.n:  # skeleton vertices are host vertices
-        raise CertificateFormatError("skeleton order out of range")
-    edges = tuple(_pair(p, "skeleton edge")
-                  for p in _list(skdata.get("edges"), "skeleton edges"))
-    try:
-        skel = Graph(skdata["n"], edges)
-    except ValueError as exc:
-        raise CertificateFormatError(f"bad skeleton edge list: {exc}") from None
-    raw_chains = _list(obj.get("chain_map", []), "chain_map")
-    chain_map = tuple(_edge_ids(g, path, f"chain {i}")
-                      for i, path in enumerate(raw_chains))
-    if len(chain_map) != skel.m:
-        raise CertificateFormatError("chain map length differs from skeleton size")
-    coloring_obj = obj.get("coloring")
-    coloring = None
-    if coloring_obj is not None:
-        if not isinstance(coloring_obj, dict):
-            raise CertificateFormatError("coloring must map edge ids to color sets")
-        coloring_list = []
-        for i in range(skel.m):
-            val = coloring_obj.get(str(i))
-            if not (isinstance(val, list) and len(val) == 1 and type(val[0]) is int):
-                raise CertificateFormatError(
-                    f"coloring for skeleton edge {i} must be a single-color set")
-            coloring_list.append(val[0])
-        coloring = tuple(coloring_list)
-    sk = SkeletonCertificate(branch_vertices=branch, skeleton=skel,
-                             chain_map=chain_map, coloring=coloring)
-    return StructuralCertificate(spanning=spanning, cycle_components=cycles,
-                                 skeleton_part=sk)
-
-
 def certificate_to_json(g: Graph, cert) -> dict:
     if isinstance(cert, TripleCertificate):
         return {
@@ -292,26 +218,11 @@ def certificate_to_json(g: Graph, cert) -> dict:
             "matchings": [_matching_to_json(g, m) for m in cert.matchings],
         }
     if isinstance(cert, StructuralCertificate):
-        if cert.skeleton_part is None:
-            return {
-                "type": "even2factor",
-                "graph": _graph_echo(g),
-                "factor": _matching_to_json(g, cert.spanning),
-                "cycles": [sorted(c) for c in cert.cycle_components],
-            }
-        sk = cert.skeleton_part
         return {
-            "type": "skeleton",
+            "type": "structural",
             "graph": _graph_echo(g),
-            "clause": cert.clause,
             "spanning": _matching_to_json(g, cert.spanning),
-            "cycle_components": [sorted(c) for c in cert.cycle_components],
-            "branch_vertices": list(sk.branch_vertices),
-            "skeleton": {"n": sk.skeleton.n,
-                         "edges": [list(p) for p in sk.skeleton.edges]},
-            "chain_map": [list(c) for c in sk.chain_map],
-            "coloring": {str(i): [c] for i, c in enumerate(sk.coloring)}
-            if sk.coloring is not None else None,
+            "coloring": list(cert.coloring),
         }
     raise TypeError(f"cannot encode certificate of type {type(cert)!r}")
 
@@ -335,14 +246,10 @@ def certificate_from_json(g: Graph, obj):
         m1, m2, m3 = (_matching_from_json(g, m, f"matching {i+1}")
                       for i, m in enumerate(ms))
         return TripleCertificate(m1, m2, m3)
-    if kind == "even2factor":
-        factor = _matching_from_json(g, obj.get("factor"), "factor")
-        # a factor that is not 2-regular decodes with no cycle list; the
-        # verifier then reports the partition violation instead of a crash
-        cycles = factor_cycles(g, factor) or []
-        return StructuralCertificate(factor, tuple(tuple(c) for c in cycles), None)
-    if kind == "skeleton":
-        return _skeleton_from_json(g, obj)
+    if kind == "structural":
+        return StructuralCertificate(
+            _matching_from_json(g, obj.get("spanning"), "spanning"),
+            _ints(obj.get("coloring"), "coloring"))
     raise CertificateFormatError(f"unknown certificate type {kind!r}")
 
 

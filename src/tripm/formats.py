@@ -108,8 +108,9 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphFormatError(f"line {no}: loop at vertex {u}")
         if not (0 <= u < n and 0 <= v < n):
             raise GraphFormatError(f"line {no}: endpoint out of range for n={n}")
-        pairs.append((u, v))
-    return make_graph(n, pairs)
+        pairs.append((u, v) if u < v else (v, u))
+    pairs.sort()  # equal pairs are equal tuples, so parallel edges keep their order
+    return Graph(n, tuple(pairs))
 
 
 def write_edge_list(g: Graph) -> str:

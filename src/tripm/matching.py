@@ -173,8 +173,11 @@ def matched_vertices(g: Graph, matching) -> frozenset[int]:
 
 
 def is_matching(g: Graph, edge_ids) -> bool:
+    """Pairwise disjoint edges of g; False for an id outside 0 .. m-1."""
     seen: set[int] = set()
     for e in edge_ids:
+        if not 0 <= e < g.m:
+            return False
         u, v = g.edges[e]
         if u in seen or v in seen:
             return False
@@ -189,11 +192,16 @@ def is_perfect_matching(g: Graph, edge_ids) -> bool:
 
 def perfect_matching_with_forced(g: Graph, forced=(), forbidden=()) -> frozenset[int] | None:
     """A perfect matching containing every ``forced`` edge and avoiding every
-    ``forbidden`` edge, or None.  Raises ValueError if ``forced`` is not a
-    matching or overlaps ``forbidden``.
+    ``forbidden`` edge, or None.  Raises ValueError if either set holds an
+    id outside 0 .. m-1, if ``forced`` is not a matching, or if it overlaps
+    ``forbidden``.
     """
     forced = frozenset(forced)
     forbidden = frozenset(forbidden)
+    for ids in (forced, forbidden):
+        bad = sorted(e for e in ids if not 0 <= e < g.m)
+        if bad:
+            raise ValueError(f"edge ids out of range: {bad}")
     if forced & forbidden:
         raise ValueError("forced and forbidden edge sets overlap")
     if not is_matching(g, forced):

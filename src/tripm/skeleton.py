@@ -7,24 +7,19 @@ spanning subgraph.  Bicontracting every chain to a single edge yields the
 skeleton; the spanning subgraph is a bisubdivision of it exactly when every
 chain has odd length, which is what the lifting rules below rely on.
 
-Every spanning edge set becomes a certificate through one split,
+A structural certificate is a spanning edge set plus one color per
+skeleton edge.  Everything else is derived from the set by one split,
 ``structural_witness`` (pure cycles plus the skeleton of the rest), and
-every certificate becomes a triple through one lift,
-``triple_from_structural``; ``verify_structural`` runs the two again.
+the split becomes a triple through one lift, ``triple_from_structural``;
+``verify_structural`` runs the two again.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass
 
 from .budget import as_budget
-from .certificates import (
-    SkeletonCertificate,
-    StructuralCertificate,
-    TripleCertificate,
-    verify_triple,
-)
+from .certificates import StructuralCertificate, TripleCertificate, verify_triple
 from .graph import Graph, connected_components
 from .twofactor import factor_cycles, find_even_2factor
 
@@ -88,32 +83,45 @@ def _walk_chains(g: Graph, edge_set, sdeg):
     return chains, edge_set - visited
 
 
-def _skeleton_from_chains(chains) -> SkeletonCertificate:
-    branch = sorted({c[0] for c in chains} | {c[1] for c in chains})
-    idx = {v: i for i, v in enumerate(branch)}
-    items = []
-    for bu, bw, path in chains:
-        a, b = idx[bu], idx[bw]
-        if a > b:
-            a, b = b, a
-            path = tuple(reversed(path))
-        items.append(((a, b), path))
-    items.sort(key=lambda it: it[0])  # stable: parallel chains keep discovery order
-    return SkeletonCertificate(
-        branch_vertices=tuple(branch),
-        skeleton=Graph(len(branch), tuple(p for p, _ in items)),
-        chain_map=tuple(p for _, p in items),
-    )
+@dataclass(frozen=True)
+class StructuralSplit:
+    """A degree-{2,3} edge set split by ``structural_witness``.
+
+    ``cycles`` are the pure cycle components, each in traversal order.
+    Skeleton vertex i is host vertex ``branch_vertices[i]``; skeleton edge
+    (a, b) with id i expands to the chain ``chain_map[i]``, host edge ids
+    in path order from ``branch_vertices[a]`` to ``branch_vertices[b]``.
+    When no vertex has degree 3, ``skeleton`` is None and
+    ``branch_vertices`` and ``chain_map`` are empty.
+    """
+
+    cycles: tuple[tuple[int, ...], ...]
+    branch_vertices: tuple[int, ...]
+    skeleton: Graph | None
+    chain_map: tuple[tuple[int, ...], ...]
+
+    @property
+    def clause(self) -> str:
+        """Which side of the characterization the split satisfies; a mix
+        of both is possible and accepted."""
+        if self.skeleton is None:
+            return "even-2-factor"
+        if self.cycles:
+            return "mixed"
+        return "skeleton"
 
 
-def structural_witness(g: Graph, edge_set) -> StructuralCertificate:
+def structural_witness(g: Graph, edge_set) -> StructuralSplit:
     """Split a degree-{2,3} edge set into its pure cycle components and the
-    bicontracted skeleton of the rest, as an uncolored certificate.
+    bicontracted skeleton of the rest.
 
-    Cycles come in ``factor_cycles`` order; ``skeleton_part`` is None when
-    no vertex has degree 3.  Raises SkeletonExtractionError when a touched
-    vertex has degree outside {2, 3} (degree out of range) or a chain is
-    even or closes on its own branch vertex (even chain, loop chain).
+    Cycles come in ``factor_cycles`` order.  Skeleton edges are sorted by
+    their ends, parallel ones by their chain's first edge id at the lower
+    end, so the split, and with it the order of a certificate's coloring,
+    depends on the edge set alone.  Raises SkeletonExtractionError when a
+    touched vertex has degree outside {2, 3} (degree out of range) or a
+    chain is even or closes on its own branch vertex (even chain, loop
+    chain).
     """
     edge_set = frozenset(edge_set)
     sdeg = _spanning_degrees(g, edge_set)
@@ -122,9 +130,18 @@ def structural_witness(g: Graph, edge_set) -> StructuralCertificate:
         raise SkeletonExtractionError(
             "degree out of range", f"vertex {v} has degree {d}")
     chains, leftover = _walk_chains(g, edge_set, sdeg)
-    return StructuralCertificate(
-        edge_set, tuple(tuple(c) for c in factor_cycles(g, leftover)),
-        _skeleton_from_chains(chains) if chains else None)
+    cycles = tuple(tuple(c) for c in factor_cycles(g, leftover))
+    if not chains:
+        return StructuralSplit(cycles, (), None, ())
+    branch = sorted({c[0] for c in chains} | {c[1] for c in chains})
+    idx = {v: i for i, v in enumerate(branch)}
+    # a chain is walked from its lower end, whose edges are all walked
+    # before the higher end's, so each pair (a, b) has a < b
+    items = [((idx[bu], idx[bw]), path) for bu, bw, path in chains]
+    items.sort(key=lambda it: it[0])  # stable: parallel chains keep discovery order
+    return StructuralSplit(cycles, tuple(branch),
+                           Graph(len(branch), tuple(p for p, _ in items)),
+                           tuple(p for _, p in items))
 
 
 def color_cubic_3(h: Graph, budget=None) -> tuple[int, ...] | None:
@@ -151,46 +168,32 @@ def color_cubic_3(h: Graph, budget=None) -> tuple[int, ...] | None:
     return tuple(colors)
 
 
-def _lift_classes(sc: SkeletonCertificate) -> dict[int, list[int]]:
-    """Expand each colored skeleton edge along its chain.
+def triple_from_structural(g: Graph, split: StructuralSplit,
+                           coloring) -> TripleCertificate:
+    """Lift a split with one color in 1..3 per skeleton edge, in skeleton
+    edge-id order: the triple's classes.
 
     A chain whose skeleton edge has color c alternates: edges at even
     positions belong to class c alone, edges at odd positions to both other
     classes.  Odd chain length makes both chain ends class c, which is what
-    keeps every class a perfect matching after expansion.
+    keeps every class a perfect matching after expansion.  A cycle
+    component alternates classes 1 and {2, 3}, so M3 = M2 on it.  Every
+    edge of the split lands in some class, so the triple's union is the
+    split's edge set.  Raises ValueError when the coloring has the wrong
+    length or a color outside 1..3, when a cycle is odd, or when the
+    triple fails ``verify_triple``.
     """
-    if sc.coloring is None:
-        raise ValueError("skeleton certificate has no coloring")
-    if len(sc.coloring) != len(sc.chain_map):
+    if len(coloring) != len(split.chain_map):
         raise ValueError("coloring length differs from skeleton size")
     classes: dict[int, list[int]] = {1: [], 2: [], 3: []}
-    for i, path in enumerate(sc.chain_map):
-        c = sc.coloring[i]
+    for i, (path, c) in enumerate(zip(split.chain_map, coloring)):
         if c not in (1, 2, 3):
             raise ValueError(f"skeleton edge {i} has invalid color {c!r}")
         o1, o2 = (x for x in (1, 2, 3) if x != c)
         classes[c].extend(path[0::2])
         classes[o1].extend(path[1::2])
         classes[o2].extend(path[1::2])
-    return classes
-
-
-def triple_from_structural(g: Graph, cert: StructuralCertificate) -> TripleCertificate:
-    """Lift a full structural certificate: skeleton chains by their
-    coloring, even cycle components by alternation with M3 = M2.
-
-    Each cycle component is alternated as given, so it must list its edges
-    in traversal order, as ``structural_witness`` and the even-2-factor
-    decoder give them; nothing traces the cycles again.  A component in
-    any other order lifts to classes that are not perfect matchings, and
-    the lift raises ValueError, since every lifted triple must pass
-    ``verify_triple`` and cover the spanning set exactly.  The skeleton
-    JSON stores components sorted; ``verify_structural`` re-derives the
-    split with ``structural_witness`` and lifts along the derived cycles.
-    """
-    sk = cert.skeleton_part
-    classes = _lift_classes(sk) if sk is not None else {1: [], 2: [], 3: []}
-    for cyc in cert.cycle_components:
+    for cyc in split.cycles:
         if len(cyc) % 2:
             raise ValueError("odd cycle component in structural certificate")
         classes[1].extend(cyc[0::2])
@@ -201,59 +204,26 @@ def triple_from_structural(g: Graph, cert: StructuralCertificate) -> TripleCerti
     report = verify_triple(g, out)
     if not report["ok"]:
         raise ValueError(f"structural lift failed: {report['violations']}")
-    if out.union() != cert.spanning:
-        raise ValueError("structural lift does not cover the spanning set exactly")
     return out
 
 
 def verify_structural(g: Graph, cert: StructuralCertificate) -> dict:
     """Full check of a structural certificate; never raises.
 
-    A spanning set splits into cycles, branch vertices and chains in one
-    way only, so the check re-derives that split with
-    ``structural_witness`` and compares it with the certificate's: cycle
-    components and (skeleton edge, chain) pairs as multisets, in any
-    order, branch vertices and skeleton order exactly.  It then lifts
-    along the derived cycles; ``triple_from_structural`` verifies the
-    triple and its union, which rejects a bad coloring, an odd cycle and
-    an untouched vertex.
+    The certificate is a spanning set and a coloring, and a spanning set
+    splits into cycles, branch vertices and chains in one way only, so the
+    check splits it with ``structural_witness`` and lifts the split with
+    the coloring.  A set that does not split (a degree out of range, an
+    even or a loop chain) and a lift that fails (a bad coloring, an odd
+    cycle, an untouched vertex) are each one violation.
     """
     bad = sorted(e for e in cert.spanning if not (0 <= e < g.m))
     if bad:
         return {"ok": False, "violations": [f"spanning edge ids out of range: {bad}"]}
     try:
-        derived = structural_witness(g, cert.spanning)
+        triple_from_structural(g, structural_witness(g, cert.spanning), cert.coloring)
     except SkeletonExtractionError as exc:
         return {"ok": False, "violations": [f"spanning set does not split: {exc}"]}
-    violations: list[str] = []
-    if _cycle_multiset(cert) != _cycle_multiset(derived):
-        violations.append("cycle components differ from the cycles of the spanning set")
-    sk, dsk = cert.skeleton_part, derived.skeleton_part
-    if (sk is None) != (dsk is None):
-        violations.append("skeleton part differs from the branch part of the spanning set")
-    elif sk is not None:
-        if tuple(sk.branch_vertices) != dsk.branch_vertices:
-            violations.append(
-                f"branch vertices {list(sk.branch_vertices)} differ from the "
-                f"degree-3 vertices {list(dsk.branch_vertices)}")
-        if sk.skeleton.n != dsk.skeleton.n:
-            violations.append("skeleton order differs from the degree-3 vertex count")
-        if (len(sk.chain_map) != sk.skeleton.m
-                or _chain_multiset(sk) != _chain_multiset(dsk)):
-            violations.append("skeleton chains differ from the chains of the spanning set")
-    if not violations:
-        try:
-            # the derived cycles, in traversal order, stand for the given ones
-            triple_from_structural(
-                g, replace(cert, cycle_components=derived.cycle_components))
-        except ValueError as exc:
-            violations.append(str(exc))
-    return {"ok": not violations, "violations": violations}
-
-
-def _cycle_multiset(cert: StructuralCertificate) -> Counter:
-    return Counter(tuple(sorted(c)) for c in cert.cycle_components)
-
-
-def _chain_multiset(sk: SkeletonCertificate) -> Counter:
-    return Counter(zip(sk.skeleton.edges, map(tuple, sk.chain_map)))
+    except ValueError as exc:
+        return {"ok": False, "violations": [str(exc)]}
+    return {"ok": True, "violations": []}

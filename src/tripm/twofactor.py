@@ -6,7 +6,7 @@ degree cap 2 and its parity union-find it finds even 2-factors: any branch
 that would close an odd cycle is cut immediately, so a completed factor
 has even components by construction.  Structural phase 2 runs it with
 degree cap 3, and skeleton coloring goes through ``find_even_2factor``.
-Turning a found edge set into a certificate is the job of
+Splitting a found edge set into cycles and a skeleton is the job of
 ``skeleton.structural_witness``.
 """
 

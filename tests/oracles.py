@@ -299,25 +299,21 @@ def resorting_matching_to_json(g: Graph, m) -> dict:
     return {"edges": sorted([list(g.edges[e]) for e in ids]), "edge_ids": ids}
 
 
-def rederiving_triple_from_structural(g: Graph, cert):
+def rederiving_triple_from_structural(g: Graph, split, coloring):
     """The earlier lift: chains expanded by their colour,
     and the cycles traced again from the union of the cycle components, so
     the order in which a component lists its edges does not matter.  Raises
     ValueError where the earlier lift did."""
     classes: dict[int, set[int]] = {1: set(), 2: set(), 3: set()}
-    sk = cert.skeleton_part
-    if sk is not None:
-        if sk.coloring is None:
-            raise ValueError("skeleton certificate has no coloring")
-        for i, path in enumerate(sk.chain_map):
-            c = sk.coloring[i]
-            if c not in (1, 2, 3):
-                raise ValueError(f"skeleton edge {i} has invalid color {c!r}")
-            others = tuple(x for x in (1, 2, 3) if x != c)
-            for k, e in enumerate(path):
-                for o in ((c,) if k % 2 == 0 else others):
-                    classes[o].add(e)
-    union = [e for comp in cert.cycle_components for e in comp]
+    for i, path in enumerate(split.chain_map):
+        c = coloring[i]
+        if c not in (1, 2, 3):
+            raise ValueError(f"skeleton edge {i} has invalid color {c!r}")
+        others = tuple(x for x in (1, 2, 3) if x != c)
+        for k, e in enumerate(path):
+            for o in ((c,) if k % 2 == 0 else others):
+                classes[o].add(e)
+    union = [e for comp in split.cycles for e in comp]
     if union:
         cycles = set_factor_cycles(g, union)
         if cycles is None:
@@ -333,7 +329,7 @@ def rederiving_triple_from_structural(g: Graph, cert):
     report = set_verify_triple(g, out)
     if not report["ok"]:
         raise ValueError(f"structural lift failed: {report['violations']}")
-    if out.union() != cert.spanning:
+    if out.union() != frozenset(union).union(*split.chain_map):
         raise ValueError("structural lift does not cover the spanning set exactly")
     return out
 

@@ -10,7 +10,6 @@ from pathlib import Path
 from tripm import (
     ADMISSIBLE,
     NOT_ADMISSIBLE,
-    StructuralCertificate,
     certificate_from_json,
     certificate_to_json,
     check,
@@ -220,12 +219,11 @@ def test_lifting_soundness_on_seeded_bisubdivisions():
                 g = base
                 for _ in range(rng.randint(1, 4)):
                     g = bisubdivide(g, rng.randrange(g.m))
-                sc = structural_witness(g, range(g.m)).skeleton_part
-                assert sc.skeleton == base, name
-                coloring = color_cubic_3(sc.skeleton)
+                split = structural_witness(g, range(g.m))
+                assert split.skeleton == base, name
+                coloring = color_cubic_3(split.skeleton)
                 assert coloring is not None, name
-                cert = triple_from_structural(g, StructuralCertificate(
-                    frozenset(range(g.m)), (), sc.with_coloring(coloring)))
+                cert = triple_from_structural(g, split, coloring)
                 assert verify_triple(g, cert)["ok"], name
                 assert cert.union() == frozenset(range(g.m)), name
         print("\n  100 seeded bisubdivisions (1-4 steps, seeds 7000..7003) "

@@ -13,6 +13,7 @@ from tripm import (
     INELIGIBLE,
     NOT_ADMISSIBLE,
     UNKNOWN,
+    StructuralCertificate,
     check,
     enumerate_perfect_matchings,
     find_even_2factor,
@@ -24,6 +25,8 @@ from tripm import (
     parse_graph6,
     perfect_matching_with_forced,
     structural_check,
+    structural_witness,
+    triple_from_structural,
     verify_structural,
     verify_triple,
 )
@@ -58,6 +61,11 @@ def c4():
 
 def digon():
     return make_graph(2, [(0, 1), (0, 1)])
+
+
+def split_of(g, v):
+    """The split of a verdict's structural certificate."""
+    return structural_witness(g, v.structural.spanning)
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +193,7 @@ def test_structural_wheel_finds_even_2factor():
     g = wheel(5)
     v = structural_check(g)
     assert v.status == ADMISSIBLE
-    assert v.structural.clause == "even-2-factor"
+    assert split_of(g, v).clause == "even-2-factor"
     assert v.structural.spanning == frozenset({0, 1, 3, 5, 8, 9})
     assert v.triple.m3 == v.triple.m2
     assert verify_structural(g, v.structural)["ok"]
@@ -195,16 +203,17 @@ def test_structural_petersen_finds_k4_skeleton():
     g = petersen()
     v = structural_check(g)
     assert v.status == ADMISSIBLE
-    assert v.structural.clause == "skeleton"
-    assert v.structural.skeleton_part.skeleton == k4()
+    split = split_of(g, v)
+    assert (split.clause, split.skeleton) == ("skeleton", k4())
     assert verify_structural(g, v.structural)["ok"]
     assert verify_triple(g, v.triple)["ok"]
 
 
 def test_structural_digon_uses_parallel_cycle():
-    v = structural_check(digon())
+    g = digon()
+    v = structural_check(g)
     assert v.status == ADMISSIBLE
-    assert v.structural.clause == "even-2-factor"
+    assert split_of(g, v).clause == "even-2-factor"
     assert v.structural.spanning == frozenset({0, 1})
 
 
@@ -248,9 +257,9 @@ def test_structural_skips_the_full_edge_leaf_only_on_cubic_graphs():
     assert not g.is_regular(3)
     v = check(g)
     assert v.status == ADMISSIBLE
-    assert v.structural.clause == "skeleton"
-    skeleton = v.structural.skeleton_part.skeleton
-    assert (skeleton.n, skeleton.edges) == (2, ((0, 1),) * 3)
+    split = split_of(g, v)
+    assert split.clause == "skeleton"
+    assert (split.skeleton.n, split.skeleton.edges) == (2, ((0, 1),) * 3)
     assert verify_structural(g, v.structural)["ok"]
     assert find_triple_direct(g).status == structural_check(g).status
 
@@ -269,9 +278,10 @@ def test_structural_proves_no_even_2factor_once_on_cubic_graphs(
     assert v.nodes == after
     # phase 2 colouring every leaf, the full edge set included, finds the
     # same witness
-    full = search_spanning(g, Budget(None), 3, False,
-                           lambda chosen: _structural_candidate(g, chosen, None))
-    assert v.structural == full
+    spanning, split, coloring = search_spanning(
+        g, Budget(None), 3, False, lambda chosen: _structural_candidate(g, chosen, None))
+    assert v.structural == StructuralCertificate(frozenset(spanning), coloring)
+    assert v.triple == triple_from_structural(g, split, coloring)
 
 
 # ---------------------------------------------------------------------------
@@ -452,8 +462,8 @@ def test_check_hamilton_probe_on_wheel():
     v = check(g)
     assert v.status == ADMISSIBLE
     assert v.evidence is None
-    assert v.structural.clause == "even-2-factor"
-    assert v.structural.cycle_components == ((0, 3, 5, 8, 9, 1),)
+    split = split_of(g, v)
+    assert (split.clause, split.cycles) == ("even-2-factor", ((0, 3, 5, 8, 9, 1),))
     assert verify_structural(g, v.structural)["ok"]
 
 
@@ -466,7 +476,7 @@ def test_check_decides_hamiltonian_graphs_by_even_2factor(matching_covered_small
             v = check(g)
             assert v.status == ADMISSIBLE, g
             assert v.evidence is None, g
-            assert v.structural.clause == "even-2-factor", g
+            assert split_of(g, v).clause == "even-2-factor", g
             assert verify_structural(g, v.structural)["ok"], g
             decided += 1
     assert decided > 0
@@ -477,17 +487,18 @@ def test_check_long_cycle_is_not_limited_by_recursion_depth(n):
     g = make_graph(n, [(i, (i + 1) % n) for i in range(n)])
     v = check(g)
     assert v.status == ADMISSIBLE
-    assert v.structural.clause == "even-2-factor"
+    assert split_of(g, v).clause == "even-2-factor"
     assert v.structural.spanning == frozenset(range(n))
     assert verify_structural(g, v.structural)["ok"]
     assert verify_triple(g, v.triple)["ok"]
 
 
 def test_check_falls_through_to_structural_on_petersen():
-    v = check(petersen())
+    g = petersen()
+    v = check(g)
     assert v.status == ADMISSIBLE
     assert v.evidence is None
-    assert v.structural.clause == "skeleton"
+    assert split_of(g, v).clause == "skeleton"
 
 
 def test_check_digon_end_to_end():
@@ -495,8 +506,8 @@ def test_check_digon_end_to_end():
     v = check(g)
     assert v.status == ADMISSIBLE
     assert v.evidence is None
-    assert v.structural.clause == "even-2-factor"
-    assert v.structural.cycle_components == ((0, 1),)
+    split = split_of(g, v)
+    assert (split.clause, split.cycles) == ("even-2-factor", ((0, 1),))
     assert verify_structural(g, v.structural)["ok"]
 
 
@@ -567,7 +578,7 @@ def test_check_falls_to_structural_when_the_construction_does_not_decide(
     v = check(g)
     assert v.status == ADMISSIBLE
     assert v.evidence is None
-    assert v.structural.clause == "even-2-factor"
+    assert split_of(g, v).clause == "even-2-factor"
     assert verify_structural(g, v.structural)["ok"]
 
 
@@ -594,6 +605,13 @@ def test_check_rejects_a_bad_budget_even_when_the_construction_decides():
 def test_check_rejects_a_bad_budget_on_an_ineligible_graph():
     with pytest.raises(ValueError):
         check(no_pm_cubic16(), budget=-1)
+
+
+@pytest.mark.parametrize("budget", [True, False])
+def test_check_refuses_a_bool_budget(budget):
+    # a bool is an int, but True is no budget of one node
+    with pytest.raises(TypeError, match="budget must be int"):
+        check(petersen(), budget)
 
 
 @pytest.mark.parametrize("k, nodes", [(7, 2785), (9, 3719)])

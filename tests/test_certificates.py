@@ -3,7 +3,6 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -28,14 +27,14 @@ from tripm import (
     structural_witness,
     verify_certificate,
     verify_triple,
+    write_graph6,
 )
 from tripm.generators import k4, petersen, wheel
 
 from conftest import random_multigraph_corpus
 from oracles import (
     brute_perfect_matchings, resorting_matching_to_json, set_verify_triple)
-from test_skeleton import (
-    W5_SPANNING, mixed_certificate, mixed_host, wheel_skeleton_part)
+from test_skeleton import mixed_certificate, mixed_host, wheel_certificate
 
 
 def k4_triple():
@@ -118,15 +117,13 @@ def test_matching_pairs_need_no_second_sort_on_multigraphs(monkeypatch):
         v = check(g)
         if v.status == ADMISSIBLE and not g.is_simple():
             certs += [(g, c) for c in (v.triple, v.structural) if c is not None]
-    # a theta, alone and beside a digon: skeleton certificates whose chains
-    # and cycle are parallel edges
+    # a theta, alone and beside a digon: structural certificates whose
+    # chains and cycle are parallel edges
     for g in (make_graph(2, [(0, 1)] * 3), make_graph(4, [(0, 1)] * 3 + [(2, 3)] * 2)):
-        cert = structural_witness(g, range(g.m))
-        sk = cert.skeleton_part
-        certs.append((g, replace(cert, skeleton_part=sk.with_coloring(
-            color_cubic_3(sk.skeleton)))))
+        certs.append((g, StructuralCertificate(
+            frozenset(range(g.m)), color_cubic_3(structural_witness(g, range(g.m)).skeleton))))
     kinds = Counter(certificate_to_json(g, c)["type"] for g, c in certs)
-    assert set(kinds) == {"triple", "even2factor", "skeleton"}, kinds
+    assert set(kinds) == {"triple", "structural"}, kinds
     encoded = [json.dumps(certificate_to_json(g, c)) for g, c in certs]
     monkeypatch.setattr(tripm.certificates, "_matching_to_json",
                         resorting_matching_to_json)
@@ -170,9 +167,13 @@ def test_triple_json_round_trip():
 
 def test_even2factor_json_round_trip():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    cert = StructuralCertificate(frozenset(range(4)), ((0, 2, 3, 1),), None)
+    cert = StructuralCertificate(frozenset(range(4)))
     blob = certificate_to_json(g, cert)
-    assert blob["type"] == "even2factor"
+    assert blob == {"type": "structural",
+                    "graph": {"format": "graph6", "data": write_graph6(g)},
+                    "spanning": {"edges": [[0, 1], [0, 3], [1, 2], [2, 3]],
+                                 "edge_ids": [0, 1, 2, 3]},
+                    "coloring": []}
     back = certificate_from_json(g, blob)
     assert back == cert
     assert verify_certificate(g, back)["ok"]
@@ -181,17 +182,13 @@ def test_even2factor_json_round_trip():
 
 def test_skeleton_json_round_trip_pure():
     g = wheel(5)
-    sk = wheel_skeleton_part()
-    cert = StructuralCertificate(W5_SPANNING, (), sk)
+    cert = wheel_certificate()
     blob = certificate_to_json(g, cert)
-    assert blob["type"] == "skeleton"
-    assert blob["clause"] == "skeleton"
-    assert blob["coloring"] == {"0": [1], "1": [2], "2": [3],
-                                "3": [3], "4": [2], "5": [1]}
+    assert blob["type"] == "structural"
+    assert blob["coloring"] == [1, 2, 3, 3, 2, 1]
     back = certificate_from_json(g, blob)
+    assert back == cert
     assert verify_certificate(g, back)["ok"]
-    assert back.skeleton_part.chain_map == sk.chain_map
-    assert back.skeleton_part == sk
     assert json.dumps(certificate_to_json(g, back)) == json.dumps(blob)
 
 
@@ -199,14 +196,34 @@ def test_skeleton_json_round_trip_mixed():
     g = mixed_host()
     cert = mixed_certificate()
     blob = certificate_to_json(g, cert)
-    assert blob["clause"] == "mixed"
+    assert sorted(blob) == ["coloring", "graph", "spanning", "type"]
     back = certificate_from_json(g, blob)
+    assert back == cert
     assert verify_certificate(g, back)["ok"]
-    assert back.spanning == cert.spanning
-    # cycle components serialize as sorted id lists; compare as sets
-    assert ({frozenset(c) for c in back.cycle_components}
-            == {frozenset(c) for c in cert.cycle_components})
     assert json.dumps(certificate_to_json(g, back)) == json.dumps(blob)
+
+
+def test_decoding_refuses_the_old_structural_types():
+    """The even2factor and skeleton objects that stored the split are
+    refused, stored fields and all, with no second reader."""
+    g = mixed_host()
+    blob = certificate_to_json(g, mixed_certificate())
+    echo, spanning = blob["graph"], blob["spanning"]
+    for old in ({"type": "even2factor", "graph": echo, "factor": spanning,
+                 "cycles": [[0, 1, 2, 3]]},
+                {"type": "skeleton", "graph": echo, "clause": "mixed",
+                 "spanning": spanning, "cycle_components": [[0, 1, 2, 3]],
+                 "branch_vertices": [4, 5],
+                 "skeleton": {"n": 2, "edges": [[0, 1]] * 3},
+                 "chain_map": [[4], [5, 9, 7], [6, 10, 8]],
+                 "coloring": {"0": [1], "1": [2], "2": [3]}}):
+        with pytest.raises(CertificateFormatError, match="unknown certificate type"):
+            certificate_from_json(g, old)
+    # the new type needs its coloring as a list of integers
+    for coloring in (None, {"0": [1], "1": [2], "2": [3]}, [1, 2, "3"], [1, True, 3]):
+        blob["coloring"] = coloring
+        with pytest.raises(CertificateFormatError, match="coloring"):
+            certificate_from_json(g, blob)
 
 
 def test_decoding_requires_matching_graph_echo():
@@ -310,7 +327,7 @@ def test_decoding_corrupted_nodes_raises_only_format_errors():
     documented format error."""
     c4 = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
     cases = [(k4(), k4_triple()),
-             (c4, StructuralCertificate(frozenset(range(4)), ((0, 2, 3, 1),), None)),
+             (c4, StructuralCertificate(frozenset(range(4)))),
              (mixed_host(), mixed_certificate())]
     for g, cert in cases:
         text = json.dumps(certificate_to_json(g, cert))
@@ -336,23 +353,25 @@ def test_decoding_corrupted_nodes_raises_only_format_errors():
 
 def test_tampered_even2factor_decodes_then_fails_verification():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    blob = certificate_to_json(
-        g, StructuralCertificate(frozenset(range(4)), ((0, 2, 3, 1),), None))
-    blob["factor"] = {"edges": [[0, 1], [1, 2]], "edge_ids": [0, 2]}
+    blob = certificate_to_json(g, StructuralCertificate(frozenset(range(4))))
+    blob["spanning"] = {"edges": [[0, 1], [1, 2]], "edge_ids": [0, 2]}
     cert = certificate_from_json(g, blob)  # structurally fine, semantically not
     rep = verify_certificate(g, cert)
-    assert not rep["ok"]
+    assert rep == {"ok": False, "violations": [
+        "spanning set does not split: degree out of range: vertex 0 has degree 1"]}
 
 
 def test_tampered_skeleton_chain_fails_verification():
     g = wheel(5)
-    sk = wheel_skeleton_part()
-    blob = certificate_to_json(g, StructuralCertificate(W5_SPANNING, (), sk))
-    blob["chain_map"][1] = [1, 5, 7]  # edges exist but no longer walk a path
+    blob = certificate_to_json(g, wheel_certificate())
+    # the spoke to rim vertex 2 (edge 6) moves to rim vertex 3 (edge 8):
+    # the rim arc 0-4-3 between branch vertices becomes an even chain
+    span = blob["spanning"]
+    span["edge_ids"] = [8 if e == 6 else e for e in span["edge_ids"]]
+    span["edges"] = [list(g.edges[e]) for e in span["edge_ids"]]
     cert = certificate_from_json(g, blob)
-    rep = verify_certificate(g, cert)
-    assert not rep["ok"]
-    assert any("chain" in v for v in rep["violations"])
+    assert verify_certificate(g, cert) == {"ok": False, "violations": [
+        "spanning set does not split: even chain: chain 0..3 has even length 2"]}
 
 
 def test_verify_certificate_rejects_unknown_types():

@@ -11,10 +11,12 @@ from tripm import (
     CertificateFormatError,
     Graph,
     GraphFormatError,
+    StructuralCertificate,
     TripleCertificate,
     certificate_from_json,
     certificate_to_json,
     check,
+    make_graph,
     parse_edge_list,
     parse_graph6,
     verify_certificate,
@@ -23,6 +25,7 @@ from tripm import (
 from tripm.generators import petersen, wheel
 
 from oracles import two_pass_parse_edge_list
+from test_skeleton import mixed_certificate, mixed_host
 
 FUZZ = settings(derandomize=True, database=None, deadline=None,
                 max_examples=200)
@@ -83,8 +86,9 @@ REPLACEMENTS = (st.integers(-12, 120) | st.lists(st.integers(-12, 120), max_size
 
 
 def _certificates():
-    """Triple and structural certificates of two graphs, and each triple
-    once more without edge ids, so the decoder looks the pairs up."""
+    """Triple and structural certificates of two graphs, each triple once
+    more without edge ids, so the decoder looks the pairs up, a pure even
+    2-factor and a mixed certificate."""
     out = []
     for g in (petersen(), wheel(5)):
         verdict = check(g)
@@ -94,6 +98,10 @@ def _certificates():
         for m in blob["matchings"]:
             del m["edge_ids"]
         out.append((g, json.dumps(blob)))
+    c6 = make_graph(6, [(i, (i + 1) % 6) for i in range(6)])
+    for g, cert in ((c6, StructuralCertificate(frozenset(range(6)))),
+                    (mixed_host(), mixed_certificate())):
+        out.append((g, json.dumps(certificate_to_json(g, cert))))
     return out
 
 
@@ -130,8 +138,11 @@ def test_certificate_from_json_raises_only_format_errors(which, data):
     except (CertificateFormatError, GraphFormatError):
         return
     assert isinstance(verify_certificate(g, cert)["ok"], bool)
+    # a decoded matching or spanning set holds exactly the edges its pairs name
     if isinstance(cert, TripleCertificate):
-        # a decoded matching holds exactly the edges its pairs name
-        for m, obj in zip(cert.matchings, blob["matchings"]):
-            assert sorted(g.edges[e] for e in m) == sorted(
-                (min(p), max(p)) for p in obj["edges"])
+        pairs = zip(cert.matchings, blob["matchings"])
+    else:
+        pairs = [(cert.spanning, blob["spanning"])]
+    for m, obj in pairs:
+        assert sorted(g.edges[e] for e in m) == sorted(
+            (min(p), max(p)) for p in obj["edges"])

@@ -34,6 +34,7 @@ def test_all_names_exactly_the_public_attributes():
                 if not inspect.ismodule(getattr(tripm, name))}
     assert exported == public
     assert len(tripm.__all__) == len(set(tripm.__all__))
-    for gone in ("extract_skeleton", "lift_triple", "rebuild_skeleton_certificate"):
+    for gone in ("extract_skeleton", "lift_triple", "rebuild_skeleton_certificate",
+                 "SkeletonCertificate"):
         assert gone not in tripm.__all__
         assert not hasattr(tripm, gone)

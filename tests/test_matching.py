@@ -162,6 +162,20 @@ def test_perfect_matching_with_forced_validation():
         perfect_matching_with_forced(g, forced=(0, 1))
 
 
+def test_matching_helpers_refuse_ids_outside_the_graph():
+    # a negative id must not wrap around to the last edge
+    k2 = make_graph(2, [(0, 1)])
+    for ids in ([-1], [1], [0, -1]):
+        assert not is_matching(k2, ids)
+        assert not is_perfect_matching(k2, ids)
+        with pytest.raises(ValueError, match="out of range"):
+            perfect_matching_with_forced(k2, forced=ids)
+        with pytest.raises(ValueError, match="out of range"):
+            perfect_matching_with_forced(k2, forbidden=ids)
+    assert is_perfect_matching(k2, [0])
+    assert perfect_matching_with_forced(k2, forbidden=()) == frozenset({0})
+
+
 def test_forbidding_everything_returns_none():
     g = k4()
     assert perfect_matching_with_forced(g, forbidden=range(g.m)) is None

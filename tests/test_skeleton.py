@@ -3,7 +3,6 @@
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -11,8 +10,8 @@ from tripm import (
     ADMISSIBLE,
     Budget,
     BudgetExhausted,
+    CertificateFormatError,
     Graph,
-    SkeletonCertificate,
     SkeletonExtractionError,
     StructuralCertificate,
     certificate_from_json,
@@ -55,29 +54,27 @@ from oracles import (
 W5_SPANNING = frozenset(range(8))
 
 
-def wheel_skeleton_part() -> SkeletonCertificate:
-    """The K4 skeleton of W5_SPANNING with K4's first coloring."""
-    sk = structural_witness(wheel(5), W5_SPANNING).skeleton_part
-    return sk.with_coloring(color_cubic_3(k4()))
+def wheel_certificate() -> StructuralCertificate:
+    """W5_SPANNING with its K4 skeleton's first coloring."""
+    return StructuralCertificate(W5_SPANNING, color_cubic_3(k4()))
 
 
 def test_structural_witness_of_wheel_spanning_set():
     g = wheel(5)
-    sc = structural_witness(g, W5_SPANNING).skeleton_part
-    assert sc.branch_vertices == (0, 1, 2, 5)
-    assert sc.skeleton == k4()
-    assert sc.chain_map == ((0,), (1, 7, 5), (2,), (3,), (4,), (6,))
-    assert sorted(len(p) for p in sc.chain_map) == [1, 1, 1, 1, 1, 3]
-    assert sc.spanning == W5_SPANNING
-    assert sc.coloring is None
+    split = structural_witness(g, W5_SPANNING)
+    assert split.cycles == ()
+    assert split.branch_vertices == (0, 1, 2, 5)
+    assert split.skeleton == k4()
+    assert split.chain_map == ((0,), (1, 7, 5), (2,), (3,), (4,), (6,))
+    assert split.clause == "skeleton"
 
 
 def test_structural_witness_inverts_bisubdivision():
     g = petersen()
     h = bisubdivide(g, 0)
-    sc = structural_witness(h, range(h.m)).skeleton_part
-    assert sc.branch_vertices == tuple(range(10))
-    assert sc.skeleton == g
+    split = structural_witness(h, range(h.m))
+    assert split.branch_vertices == tuple(range(10))
+    assert split.skeleton == g
 
 
 def test_structural_witness_degree_out_of_range():
@@ -115,9 +112,11 @@ def mixed_host():
 
 def test_split_spanning_components():
     g = mixed_host()
-    cert = structural_witness(g, range(g.m))
-    assert cert.cycle_components == ((0, 2, 3, 1),)
-    assert cert.skeleton_part.spanning == frozenset(range(4, 11))
+    split = structural_witness(g, range(g.m))
+    assert split.cycles == ((0, 2, 3, 1),)
+    assert split.branch_vertices == (4, 5)
+    assert split.chain_map == ((4,), (5, 9, 7), (6, 10, 8))
+    assert split.clause == "mixed"
 
 
 def degree_23_edge_sets(count, seed):
@@ -150,13 +149,12 @@ def degree_23_edge_sets(count, seed):
 def test_structural_witness_splits_like_the_component_referee():
     mixed = 0
     for g, edge_set in degree_23_edge_sets(count=300, seed=2323):
-        cert = structural_witness(g, edge_set)
+        split = structural_witness(g, edge_set)
         cycles, branch_edges = brute_split_components(g, edge_set)
-        assert [frozenset(c) for c in cert.cycle_components] == cycles
-        sk = cert.skeleton_part
-        assert (frozenset() if sk is None else sk.spanning) == branch_edges
-        assert cert.spanning == edge_set
-        mixed += bool(cycles) and bool(branch_edges)
+        assert [frozenset(c) for c in split.cycles] == cycles
+        assert frozenset(e for c in split.chain_map for e in c) == branch_edges
+        assert (split.skeleton is None) == (not branch_edges)
+        mixed += split.clause == "mixed"
     assert mixed > 50
 
 
@@ -211,8 +209,8 @@ def test_color_cubic_3_validation_and_budget():
 
 def test_triple_from_structural_on_wheel_spanning_set():
     g = wheel(5)
-    sc = wheel_skeleton_part()
-    cert = triple_from_structural(g, StructuralCertificate(W5_SPANNING, (), sc))
+    cert = triple_from_structural(g, structural_witness(g, W5_SPANNING),
+                                  color_cubic_3(k4()))
     assert cert.m1 == frozenset({0, 6, 7})
     assert cert.m2 == frozenset({1, 4, 5})
     assert cert.m3 == frozenset({2, 3, 7})
@@ -225,28 +223,17 @@ def test_triple_from_structural_on_wheel_spanning_set():
         assert is_perfect_matching(g, m)
 
 
-def theta_skeleton_part() -> SkeletonCertificate:
-    return SkeletonCertificate(
-        branch_vertices=(4, 5),
-        skeleton=Graph(2, ((0, 1), (0, 1), (0, 1))),
-        chain_map=((4,), (5, 9, 7), (6, 10, 8)),
-        coloring=(1, 2, 3),
-    )
-
-
 def mixed_certificate() -> StructuralCertificate:
-    return StructuralCertificate(
-        spanning=frozenset(range(11)),
-        cycle_components=((0, 2, 3, 1),),
-        skeleton_part=theta_skeleton_part(),
-    )
+    """All of mixed_host(): the C4 and the theta, whose three chains get
+    colors 1, 2, 3."""
+    return StructuralCertificate(frozenset(range(11)), (1, 2, 3))
 
 
 def test_mixed_certificate_lifts_and_verifies():
     g = mixed_host()
     cert = mixed_certificate()
-    assert cert.clause == "mixed"
-    triple = triple_from_structural(g, cert)
+    triple = triple_from_structural(
+        g, structural_witness(g, cert.spanning), cert.coloring)
     assert triple.m1 == frozenset({0, 3, 4, 9, 10})
     assert triple.m2 == frozenset({1, 2, 5, 7, 10})
     assert triple.m3 == frozenset({1, 2, 6, 8, 9})
@@ -258,16 +245,20 @@ def test_mixed_certificate_lifts_and_verifies():
 
 def test_verify_structural_flags_bad_coloring():
     g = mixed_host()
-    cert = mixed_certificate()
-    bad = StructuralCertificate(
-        cert.spanning, cert.cycle_components,
-        cert.skeleton_part.with_coloring((1, 1, 3)))
+    bad = StructuralCertificate(frozenset(range(11)), (1, 1, 3))
     report = verify_structural(g, bad)
     assert not report["ok"]
     # an improper coloring lifts to classes that are not perfect matchings
     assert report["violations"][0].startswith("structural lift failed")
-    short = replace(cert, skeleton_part=cert.skeleton_part.with_coloring((1, 2)))
-    assert verify_structural(g, short) == {
+    for coloring in ((1, 2), (1, 2, 3, 1)):
+        assert verify_structural(g, StructuralCertificate(bad.spanning, coloring)) == {
+            "ok": False, "violations": ["coloring length differs from skeleton size"]}
+    for c in (0, 4, -1):
+        assert verify_structural(g, StructuralCertificate(bad.spanning, (1, c, 3))) == {
+            "ok": False, "violations": [f"skeleton edge 1 has invalid color {c}"]}
+    # a pure cycle has no skeleton edge to color
+    c4 = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    assert verify_structural(c4, StructuralCertificate(frozenset(range(4)), (1,))) == {
         "ok": False, "violations": ["coloring length differs from skeleton size"]}
 
 
@@ -276,85 +267,70 @@ def test_verify_structural_flags_odd_cycle():
                        (3, 4),
                        (3, 5), (5, 6), (4, 6),
                        (3, 7), (7, 8), (4, 8)])
-    sk = SkeletonCertificate(
-        branch_vertices=(3, 4),
-        skeleton=Graph(2, ((0, 1), (0, 1), (0, 1))),
-        chain_map=((3,), (4, 8, 6), (5, 9, 7)),
-        coloring=(1, 2, 3),
-    )
-    cert = StructuralCertificate(frozenset(range(10)), ((0, 2, 1),), sk)
-    report = verify_structural(g, cert)
-    assert not report["ok"]
-    assert any("odd cycle" in v for v in report["violations"])
+    cert = StructuralCertificate(frozenset(range(10)), (1, 2, 3))
+    assert structural_witness(g, cert.spanning).clause == "mixed"
+    assert verify_structural(g, cert) == {
+        "ok": False, "violations": ["odd cycle component in structural certificate"]}
 
 
-def test_verify_structural_flags_unaccounted_edges():
+def test_verify_structural_flags_an_untouched_vertex():
+    # the theta alone: no component reaches the C4's vertices
     g = mixed_host()
-    cert = mixed_certificate()
-    missing = StructuralCertificate(cert.spanning, (), cert.skeleton_part)
-    report = verify_structural(g, missing)
-    assert not report["ok"]
-    assert report["violations"] == [
-        "cycle components differ from the cycles of the spanning set"]
+    cert = StructuralCertificate(frozenset(range(4, 11)), (1, 2, 3))
+    misses = "not perfect, misses vertices [0, 1, 2, 3]"
+    assert verify_structural(g, cert) == {"ok": False, "violations": [
+        f"structural lift failed: {[f'{m}: {misses}' for m in ('m1', 'm2', 'm3')]}"]}
 
 
 def test_verify_structural_flags_non_spanning_degrees():
     g = mixed_host()
     cert = mixed_certificate()
-    shrunk = StructuralCertificate(
-        cert.spanning - {0}, cert.cycle_components, cert.skeleton_part)
-    report = verify_structural(g, shrunk)
-    assert not report["ok"]
+    shrunk = StructuralCertificate(cert.spanning - {0}, cert.coloring)
+    assert verify_structural(g, shrunk) == {"ok": False, "violations": [
+        "spanning set does not split: degree out of range: vertex 0 has degree 1"]}
 
 
-def test_verify_structural_flags_short_branch_vertex_list():
-    g = petersen()
-    cert = check(g).structural
-    sk = cert.skeleton_part
-    short = StructuralCertificate(
-        cert.spanning, cert.cycle_components,
-        replace(sk, branch_vertices=sk.branch_vertices[:-2]))
-    report = verify_structural(g, short)
-    assert not report["ok"]
-    assert report["violations"] == [
-        f"branch vertices {list(short.skeleton_part.branch_vertices)} differ "
-        f"from the degree-3 vertices {list(sk.branch_vertices)}"]
+def test_verify_structural_flags_even_and_loop_chains():
+    # the hosts of test_structural_witness_even_chain and _loop_chain
+    even = make_graph(4, [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3)])
+    loop = make_graph(6, [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (3, 5), (4, 5)])
+    for g, detail in ((even, "even chain: chain 0..1 has even length 2"),
+                      (loop, "loop chain: chain of length 3 closes on vertex 0")):
+        cert = StructuralCertificate(frozenset(range(g.m)), (1, 2, 3))
+        assert verify_structural(g, cert) == {
+            "ok": False, "violations": [f"spanning set does not split: {detail}"]}
 
 
-def test_verify_structural_flags_cycle_ids_outside_the_graph(tmp_path, capsys):
+def test_verify_structural_flags_spanning_ids_outside_the_graph(tmp_path, capsys):
     g = mixed_host()
     cert = mixed_certificate()
-    stray = StructuralCertificate(
-        cert.spanning, cert.cycle_components + ((99,),), cert.skeleton_part)
-    report = verify_structural(g, stray)
-    assert report == {"ok": False, "violations": [
-        "cycle components differ from the cycles of the spanning set"]}
-    # the C4's edges, sorted, with edge 2 listed twice: the same edge set
-    # as the true cycle, but not the same multiset
-    repeated = replace(cert, cycle_components=((0, 1, 2, 2, 3),))
-    assert verify_structural(g, repeated) == report
-    blob = certificate_to_json(g, repeated)
-    decoded = certificate_from_json(g, json.loads(json.dumps(blob)))
-    assert decoded.cycle_components == ((0, 1, 2, 2, 3),)
-    assert verify_certificate(g, decoded) == report
+    stray = StructuralCertificate(cert.spanning | {-1, 99}, cert.coloring)
+    assert verify_structural(g, stray) == {"ok": False, "violations": [
+        "spanning edge ids out of range: [-1, 99]"]}
+    # JSON cannot carry such an id: the decoder refuses it, and so does
+    # tripm verify, with exit code 4
+    blob = certificate_to_json(g, cert)
+    blob["spanning"]["edge_ids"][0] = 99
+    with pytest.raises(CertificateFormatError, match="edge id 99 out of range"):
+        certificate_from_json(g, blob)
     gpath, cpath = tmp_path / "g.g6", tmp_path / "cert.json"
     gpath.write_text(write_graph6(g) + "\n", encoding="utf-8")
     cpath.write_text(json.dumps(blob), encoding="utf-8")
-    assert main(["verify", str(gpath), str(cpath)]) == 1
-    assert json.loads(capsys.readouterr().out) == report
+    assert main(["verify", str(gpath), str(cpath)]) == 4
+    assert "edge id 99 out of range" in capsys.readouterr().err
 
 
 def test_verify_structural_accepts_pure_even_2factor():
     g = make_graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    cert = StructuralCertificate(frozenset(range(4)), ((0, 2, 3, 1),), None)
-    assert cert.clause == "even-2-factor"
+    cert = StructuralCertificate(frozenset(range(4)))
+    assert structural_witness(g, cert.spanning).clause == "even-2-factor"
     assert verify_structural(g, cert)["ok"]
 
 
 def test_verify_structural_accepts_pure_skeleton():
     g = wheel(5)
-    cert = StructuralCertificate(W5_SPANNING, (), wheel_skeleton_part())
-    assert cert.clause == "skeleton"
+    cert = wheel_certificate()
+    assert structural_witness(g, cert.spanning).clause == "skeleton"
     assert verify_structural(g, cert)["ok"]
 
 
@@ -371,17 +347,17 @@ def ladder(n, twist):
                       + [(i, h + i) for i in range(h)])
 
 
-def lift_or_error(lift, g, cert):
+def lift_or_error(lift, g, split, coloring):
     try:
-        return lift(g, cert)
+        return lift(g, split, coloring)
     except ValueError as exc:
         return f"ValueError: {exc}"
 
 
 def test_lift_along_given_cycles_equals_the_rederiving_reference():
-    """The lift alternates each cycle component as given; the earlier lift
-    traced the cycles again from their union.  Inside check() and after
-    structural_witness both give the same triple, or the same error."""
+    """The lift alternates each cycle of the split as given; the earlier
+    lift traced the cycles again from their union.  Inside check() and
+    after structural_witness both give the same triple, or the same error."""
     graphs = []
     for bi, base in enumerate((k4(), k33(), prism(), cube(), petersen())):
         rng = random.Random(1900 + bi)
@@ -398,49 +374,22 @@ def test_lift_along_given_cycles_equals_the_rederiving_reference():
         v = check(g)
         assert v.status == ADMISSIBLE, g
         if v.structural is not None:
-            assert v.triple == rederiving_triple_from_structural(g, v.structural), g
-            clauses[v.structural.clause] += 1
+            split = structural_witness(g, v.structural.spanning)
+            assert v.triple == rederiving_triple_from_structural(
+                g, split, v.structural.coloring), g
+            clauses[split.clause] += 1
     lifted = 0
     for g, edge_set in degree_23_edge_sets(count=300, seed=1901):
-        cert = structural_witness(g, edge_set)
-        sk = cert.skeleton_part
-        coloring = color_cubic_3(sk.skeleton) if sk is not None else None
-        if coloring is not None:
-            cert = replace(cert, skeleton_part=sk.with_coloring(coloring))
-        elif sk is not None:
+        split = structural_witness(g, edge_set)
+        coloring = color_cubic_3(split.skeleton) if split.skeleton is not None else ()
+        if coloring is None:
             continue
-        got = lift_or_error(triple_from_structural, g, cert)
-        assert got == lift_or_error(rederiving_triple_from_structural, g, cert)
+        got = lift_or_error(triple_from_structural, g, split, coloring)
+        assert got == lift_or_error(rederiving_triple_from_structural, g, split, coloring)
         lifted += not isinstance(got, str)
-        clauses[cert.clause] += 1
+        clauses[split.clause] += 1
     assert min(clauses.values()) >= 20 and len(clauses) == 3, clauses
     assert lifted >= 50
-
-
-def test_lift_needs_cycle_components_in_traversal_order():
-    """A component listed in sorted, non-walk order does not alternate
-    into matchings, so the lift raises.  verify_structural accepts it: it
-    re-derives the split with structural_witness, compares components as
-    edge multisets and lifts along the derived cycles, and the skeleton
-    JSON stores components sorted anyway."""
-    # a 6-cycle on 0 .. 5 beside a theta on 6, 7 with chains of length 1, 3, 3
-    g = make_graph(12, [(i, (i + 1) % 6) for i in range(6)]
-                   + [(6, 7), (6, 8), (8, 9), (7, 9), (6, 10), (10, 11), (7, 11)])
-    cert = structural_witness(g, range(g.m))
-    sk = cert.skeleton_part
-    cert = replace(cert, skeleton_part=sk.with_coloring(color_cubic_3(sk.skeleton)))
-    assert cert.cycle_components == ((0, 2, 3, 4, 5, 1),)
-    assert verify_triple(g, triple_from_structural(g, cert))["ok"]
-    unordered = replace(cert, cycle_components=((0, 1, 2, 3, 4, 5),))
-    assert unordered.clause == "mixed"
-    with pytest.raises(ValueError, match="structural lift failed"):
-        triple_from_structural(g, unordered)
-    assert verify_structural(g, unordered) == {"ok": True, "violations": []}
-    blob = certificate_to_json(g, unordered)
-    assert blob == certificate_to_json(g, cert)
-    decoded = certificate_from_json(g, json.loads(json.dumps(blob)))
-    assert decoded.cycle_components == ((0, 1, 2, 3, 4, 5),)
-    assert verify_certificate(g, decoded) == {"ok": True, "violations": []}
 
 
 def certified_corpus(seed):
@@ -482,55 +431,54 @@ def certified_corpus(seed):
 
 
 def verifies(g, cert):
-    """verify_structural on the certificate and, for the skeleton form,
-    after a JSON round trip; the two must agree."""
+    """verify_structural on the certificate and after a JSON round trip;
+    the two must agree."""
     ok = verify_structural(g, cert)["ok"]
-    if cert.skeleton_part is not None:
-        blob = json.loads(json.dumps(certificate_to_json(g, cert)))
-        assert verify_certificate(g, certificate_from_json(g, blob))["ok"] == ok
+    blob = json.loads(json.dumps(certificate_to_json(g, cert)))
+    assert verify_certificate(g, certificate_from_json(g, blob))["ok"] == ok
     return ok
 
 
 def test_verify_structural_accepts_relistings_and_rejects_tampering():
+    """A certificate decodes to itself however its JSON lists the spanning
+    edges, and verifies.  A recolored chain, a coloring one color short or
+    long, a color outside 1..3, a spanning edge dropped or one added are
+    each rejected: an added edge makes two more branch vertices, so three
+    more skeleton edges, or a degree out of range."""
     rng = random.Random(2222)
     seen = Counter()
     for g, cert in certified_corpus(seed=2221):
         assert verifies(g, cert), g
-        seen[cert.clause] += 1
-        for i, cyc in enumerate(cert.cycle_components):
-            k = rng.randrange(len(cyc))
-            for relisted, ok in ((cyc[k:] + cyc[:k], True),
-                                 (tuple(sorted(cyc)), True),
-                                 (cyc[:k + 1] + cyc[k:], False)):
-                comps = list(cert.cycle_components)
-                comps[i] = relisted
-                assert verifies(g, replace(cert, cycle_components=tuple(comps))) == ok
-            seen["cycle"] += 1
-        sk = cert.skeleton_part
-        if sk is None:
-            continue
-        # Graph keeps skeleton edges sorted, so chains move within a
-        # parallel class, taking their colors with them
-        order = sorted(range(sk.skeleton.m),
-                       key=lambda i: (sk.skeleton.edges[i], rng.random()))
-        seen["permuted"] += order != sorted(order)
-        permuted = replace(sk, chain_map=tuple(sk.chain_map[i] for i in order),
-                           coloring=tuple(sk.coloring[i] for i in order))
-        assert verifies(g, replace(cert, skeleton_part=permuted))
-        i = rng.randrange(sk.skeleton.m)
-        a, _ = sk.skeleton.edges[i]
-        j = next(j for j in sk.skeleton.incident[a] if j != i)
-        keep = [x for x in range(sk.skeleton.m) if x != i]
-        dropped = replace(
-            sk, skeleton=Graph(sk.skeleton.n, tuple(sk.skeleton.edges[x] for x in keep)),
-            chain_map=tuple(sk.chain_map[x] for x in keep),
-            coloring=tuple(sk.coloring[x] for x in keep))
-        recolored = sk.with_coloring(
-            sk.coloring[:i] + (sk.coloring[j],) + sk.coloring[i + 1:])
-        outside = [v for v in range(g.n) if v not in sk.branch_vertices]
-        k = rng.randrange(sk.skeleton.n)
-        moved = replace(sk, branch_vertices=sk.branch_vertices[:k]
-                        + (rng.choice(outside),) + sk.branch_vertices[k + 1:])
-        for bad in (dropped, recolored, moved):
-            assert not verifies(g, replace(cert, skeleton_part=bad)), g
-    assert min(seen.values()) >= 10 and len(seen) == 5, seen
+        split = structural_witness(g, cert.spanning)
+        seen[split.clause] += 1
+        blob = certificate_to_json(g, cert)
+        span = blob["spanning"]
+        order = rng.sample(range(len(span["edge_ids"])), len(span["edge_ids"]))
+        span["edges"] = [span["edges"][i] for i in order]
+        span["edge_ids"] = [span["edge_ids"][i] for i in order]
+        assert certificate_from_json(g, blob) == cert
+        if g.is_simple():
+            del span["edge_ids"]
+            assert certificate_from_json(g, blob) == cert
+            seen["relisted without ids"] += 1
+        coloring = cert.coloring
+        bad = [coloring + (1,)]
+        if coloring:
+            sk = split.skeleton
+            i = rng.randrange(sk.m)
+            a, _ = sk.edges[i]
+            j = next(j for j in sk.incident[a] if j != i)
+            bad += [coloring[:i] + (coloring[j],) + coloring[i + 1:],
+                    coloring[:-1],
+                    coloring[:i] + (rng.choice((0, 4)),) + coloring[i + 1:]]
+            seen["colored"] += 1
+        for c in bad:
+            assert not verifies(g, StructuralCertificate(cert.spanning, c)), g
+        e = rng.choice(sorted(cert.spanning))
+        assert not verifies(g, StructuralCertificate(cert.spanning - {e}, coloring)), g
+        outside = sorted(set(range(g.m)) - cert.spanning)
+        if outside:
+            added = cert.spanning | {rng.choice(outside)}
+            assert not verifies(g, StructuralCertificate(added, coloring)), g
+            seen["added"] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 6, seen

@@ -143,7 +143,7 @@ def test_find_even_2factor_budget():
 
 def test_triple_from_even_2factor_alternates():
     g = c6()
-    cert = triple_from_structural(g, structural_witness(g, frozenset(range(6))))
+    cert = triple_from_structural(g, structural_witness(g, frozenset(range(6))), ())
     assert cert.m1 == frozenset({0, 3, 5})
     assert cert.m2 == frozenset({1, 2, 4})
     assert cert.m3 == cert.m2
@@ -160,19 +160,18 @@ def test_triple_from_even_2factor_validation():
                         (4, 5), (5, 6), (6, 7), (4, 7)])
     inner = [e for e, (u, v) in enumerate(g8.edges) if v <= 3]
     with pytest.raises(ValueError, match="not perfect"):
-        triple_from_structural(g8, structural_witness(g8, inner))
+        triple_from_structural(g8, structural_witness(g8, inner), ())
     g = two_triangles()
     with pytest.raises(ValueError, match="odd cycle"):
-        triple_from_structural(g, structural_witness(g, range(6)))
+        triple_from_structural(g, structural_witness(g, range(6)), ())
 
 
 def test_structural_from_factor_shape():
     g = c6()
-    cert = structural_witness(g, frozenset(range(6)))
-    assert cert.spanning == frozenset(range(6))
-    assert cert.cycle_components == ((0, 2, 3, 4, 5, 1),)
-    assert cert.skeleton_part is None
-    assert cert.clause == "even-2-factor"
+    split = structural_witness(g, frozenset(range(6)))
+    assert split.cycles == ((0, 2, 3, 4, 5, 1),)
+    assert (split.branch_vertices, split.skeleton, split.chain_map) == ((), None, ())
+    assert split.clause == "even-2-factor"
 
 
 def test_cycle_lengths_oracle_helper():
